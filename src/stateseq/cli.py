@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from .measures import GtsParams, LtsParams, accuracy, extend, gts_distance, lts_
 from .oracle import brute_force_project, random_instance
 from .projection import energy, project, project_labels
 from .sequence import costs_close
-from .simulate import SweepConfig, run_sweep
+from .simulate import RNG_ALGORITHM, SweepConfig, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -84,8 +85,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_project(args) -> int:
-    if args.gamma < 0:
-        print("error: gamma must be nonnegative", file=sys.stderr)
+    if not (math.isfinite(args.gamma) and args.gamma >= 0):
+        print("error: gamma must be finite and nonnegative", file=sys.stderr)
         return EXIT_BAD_PARAMS
     try:
         labels = read_labels(args.input)
@@ -123,6 +124,14 @@ def _cmd_project(args) -> int:
 
 def _cmd_score(args) -> int:
     try:
+        if args.measure == "gts":
+            params = GtsParams(args.w, args.sigma)
+        elif args.measure == "lts":
+            params = LtsParams(args.w, args.sigma, args.lam, args.zeta)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
+    try:
         truth = read_labels(args.truth)
         estimate = read_labels(args.estimate)
     except LabelFileError as exc:
@@ -135,9 +144,9 @@ def _cmd_score(args) -> int:
     if args.measure == "accuracy":
         value = accuracy(truth, estimate)
     elif args.measure == "gts":
-        value = gts_distance(extend(truth), extend(estimate), GtsParams(args.w, args.sigma))
+        value = gts_distance(extend(truth), extend(estimate), params)
     else:
-        value = lts_measure(truth, estimate, LtsParams(args.w, args.sigma, args.lam, args.zeta))
+        value = lts_measure(truth, estimate, params)
     print(f"{value:.6f}")
     return EXIT_OK
 
@@ -194,6 +203,7 @@ def _cmd_simulate(args) -> int:
 
     rows = run_sweep(config)
     metadata = {
+        "rng": RNG_ALGORITHM,
         "seed": args.seed,
         "replications": args.reps,
         "mu1": mu1,

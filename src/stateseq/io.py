@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import io as _io
 import math
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 from .sequence import Labels
-from .simulate import RNG_ALGORITHM, SweepRow
+
+if TYPE_CHECKING:
+    from .simulate import SweepRow
 
 
 class LabelFileError(ValueError):
@@ -72,6 +74,8 @@ def _meta_value(meta: dict[str, str], key: str, conv, positive: bool = True):
         value = conv(meta[key])
     except ValueError as exc:
         raise LabelFileError(f"bad '# {key}:' value {meta[key]!r}") from exc
+    if not math.isfinite(value):
+        raise LabelFileError(f"'# {key}:' must be finite, got {value}")
     if positive and not value > 0:
         raise LabelFileError(f"'# {key}:' must be positive, got {value}")
     return value
@@ -171,8 +175,7 @@ SWEEP_COLUMNS = (
 
 
 def write_sweep_csv(fh: TextIO, rows: Iterable[SweepRow], metadata: dict[str, object]) -> None:
-    """Sweep table as CSV with reproducibility metadata up front."""
-    fh.write(f"# rng: {RNG_ALGORITHM}\n")
+    """Sweep table as CSV with reproducibility metadata up front, in the given key order."""
     for key, value in metadata.items():
         fh.write(f"# {key}: {value}\n")
     fh.write(",".join(SWEEP_COLUMNS) + "\n")

@@ -38,7 +38,7 @@ class GtsParams:
     sigma: float = 0.35
 
     def __post_init__(self) -> None:
-        if self.w < 0:
+        if not self.w >= 0:
             raise ValueError("w must be nonnegative")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
@@ -58,11 +58,11 @@ class LtsParams:
     zeta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.w < 0:
+        if not self.w >= 0:
             raise ValueError("w must be nonnegative")
         if not self.sigma > 0 or math.isinf(self.sigma):
             raise ValueError("sigma must be positive and finite")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lambda must be nonnegative")
         if not self.zeta > 0:
             raise ValueError("zeta must be positive")

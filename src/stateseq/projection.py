@@ -43,28 +43,6 @@ def energy(f: StateSequence, g: StateSequence, gamma: float, metric: StateMetric
     return standard_distance(f, g, metric) + gamma * g.n_jumps
 
 
-def most_common_state(f: StateSequence, start: float, end: float) -> int:
-    """State of f with the largest occupancy time in [start, end).
-
-    Unbounded intervals return the corresponding boundary state (the only
-    state with infinite occupancy there); ties go to the smallest state id.
-    """
-    if start >= end:
-        raise ValueError("need start < end")
-    if start == -INF:
-        return f.initial_state
-    if end == INF:
-        return f.final_state
-    occupancy: dict[int, float] = {}
-    for ev in f.events():
-        lo = max(ev.start, start)
-        hi = min(ev.end, end)
-        if hi > lo:
-            occupancy[ev.state] = occupancy.get(ev.state, 0.0) + (hi - lo)
-    best = max(occupancy.values())
-    return min(s for s, occ in occupancy.items() if occ == best)
-
-
 @dataclass(frozen=True)
 class Subproblem:
     """A run of removable short events between two frozen anchors.
@@ -180,9 +158,14 @@ class _Core:
         self.min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
         self.times = np.concatenate(([-INF], self.ktimes, [INF]))
 
-        # Forced-state arcs touching the sentinels.
+        # Forced-state arcs touching the sentinels; in the binary graph only
+        # odd jump indices connect to the source and only those of the
+        # sink's parity to the sink.
         self.w_source = self.dmat[self.c0] @ self.pref_k + gamma
         self.w_sink = self.dmat[self.cn] @ (self.pref_end[:, None] - self.pref_k)
+        if binary:
+            self.w_source[self.kidx % 2 == 0] = INF
+            self.w_sink[(n + 1 - self.kidx) % 2 == 0] = INF
         self.direct_ok = (n + 1) % 2 == 1 if binary else self.c0 == self.cn
         self.w_direct = float(self.dmat[self.c0] @ self.pref_end) if self.direct_ok else INF
         # qmat[c, i] = sum_x d(c, x) * occupancy of x in [t_1, kept time i);
@@ -211,21 +194,16 @@ class _Core:
         """Arc weights from every vertex below j into vertex j; +inf if absent."""
         out = np.full(j, INF)
         if j <= self.k:
-            b = self.kidx[j - 1]
-            if not self.binary or b % 2 == 1:
-                out[0] = self.w_source[j - 1]
+            out[0] = self.w_source[j - 1]
             p = int(np.searchsorted(self.ktimes[: j - 1], self.ktimes[j - 1] - self.min_gap, side="right"))
             if p:
                 w = self._finite_weights(j, p)
                 if self.binary:
-                    w = np.where((b - self.kidx[:p]) % 2 == 1, w, INF)
+                    w = np.where((self.kidx[j - 1] - self.kidx[:p]) % 2 == 1, w, INF)
                 out[1 : p + 1] = w
         else:
             out[0] = self.w_direct
-            w = self.w_sink.copy()
-            if self.binary:
-                w = np.where((self.n + 1 - self.kidx) % 2 == 1, w, INF)
-            out[1:] = w
+            out[1:] = self.w_sink
         return out
 
     def arc_state(self, a: int, b: int) -> int:
@@ -253,17 +231,38 @@ class _Core:
             w = (self.ktimes[j - 1] - self.ktimes[k - 1]) - occ.max()
         return float(w) + self.gamma
 
-    def solve_primary(self) -> tuple[tuple[int, ...], float]:
-        """Single best path in O(vertices * states) via running minima.
+    def _class_terms(self) -> tuple[list[list[float]], list[list[float]]]:
+        """Per-class arc terms: arc k -> j of class c weighs admit[c][k-1] + enter[c][j-1].
 
-        For the discrete metric the arc weight decomposes per candidate
-        segment state c as (dist[k] - t_k + occ_c[k]) + (gamma + t_j -
-        occ_c[j]); the binary weight decomposes per predecessor parity
-        class.  A running minimum (plus runner-up for safety) per class
-        over the feasible prefix then yields each column's winner in O(m).
+        For the discrete metric a class is the arc's segment state c, and
+        the weight is (occ_c[k] - t_k) + (gamma + t_j - occ_c[j]).  In the
+        binary graph a class is the predecessor's index parity, whose
+        segment state is fixed because states alternate; the weight is
+        qmat[s, j] - qmat[s, k] + gamma, allowed only when j has the other
+        parity.  +inf marks a vertex outside a class.
+        """
+        if not self.binary:
+            enter = self.gamma + self.ktimes - self.pref_k
+            return (self.pref_k - self.ktimes).tolist(), enter.tolist()
+        parity = self.kidx % 2
+        admit, enter = [], []
+        for c in (0, 1):
+            q = self.qmat[self.c0 ^ c]
+            admit.append(np.where(parity == c, -q, INF).tolist())
+            enter.append(np.where(parity != c, q + self.gamma, INF).tolist())
+        return admit, enter
+
+    def solve_primary(self) -> tuple[tuple[int, ...], float]:
+        """Single best path in O(vertices * classes) via running minima.
+
+        Every arc weight decomposes into a predecessor term and a column
+        term per class (see :meth:`_class_terms`), so a running minimum
+        (plus runner-up for safety) per class of dist[k] + admit[c][k]
+        over the feasible prefix yields each column's winner in O(classes).
         The winner's cost is recomputed with the exact reference arc
         expression, and whenever the runner-up comes within a safety margin
-        the whole column is recomputed exactly, so results match the
+        the column goes through the reference relaxation step
+        :func:`_relax` instead, as does the sink, so results match the
         reference DP bit for bit including tie-breaking.  Metrics other
         than the discrete one take the reference path.
         """
@@ -273,101 +272,34 @@ class _Core:
 
         margin = 1e-9
         kk = self.k
-        n_v = kk + 2
-        dist = np.full(n_v, INF)
-        dist[0] = 0.0
-        parent = np.full(n_v, -1, dtype=int)
-        njumps = np.zeros(n_v, dtype=int)
-        ktimes = self.ktimes
-        pref_k = self.pref_k
-        qmat = self.qmat
-
-        def path_times(v: int) -> tuple[float, ...]:
-            out: list[float] = []
-            while v > 0:
-                out.append(float(self.times[v]))
-                v = int(parent[v])
-            return tuple(reversed(out))
-
-        def fallback(j: int) -> None:
-            cand = dist[:j] + self.column(j)
-            best = cand.min()
-            if not math.isfinite(best):
-                return
-            ties = np.flatnonzero(cand <= best + _tie_tol(best))
-            if len(ties) == 1:
-                k = int(ties[0])
-            else:
-                k = int(min(ties, key=lambda i: (njumps[i], path_times(int(i)))))
-            dist[j] = cand[k]
-            parent[j] = k
-            njumps[j] = njumps[k] + (1 if j < n_v - 1 else 0)
-
-        if self.binary:
-            # One class per predecessor index parity; all members share the
-            # post-jump state, so R[k] = dist[k] - qmat[s, k].
-            s_by_par = {int(self.kidx[i]) % 2: int(self.skept[i]) for i in range(kk)}
-            classes = [0, 1]
-
-            def admit_classes(i: int) -> list[int]:
-                return [int(self.kidx[i]) % 2]
-
-            def r_value(i: int, c: int) -> float:
-                return dist[i + 1] - qmat[self.skept[i], i]
-
-            def col_term(j: int, c: int) -> float:
-                return qmat[s_by_par[c], j - 1] + self.gamma
-
-            def class_allowed(j: int, c: int) -> bool:
-                return (int(self.kidx[j - 1]) - c) % 2 == 1
-        else:
-            # One class per candidate segment state.
-            classes = list(range(len(self.states)))
-
-            def admit_classes(i: int) -> list[int]:
-                return classes
-
-            def r_value(i: int, c: int) -> float:
-                return dist[i + 1] - ktimes[i] + pref_k[c, i]
-
-            def col_term(j: int, c: int) -> float:
-                return self.gamma + ktimes[j - 1] - pref_k[c, j - 1]
-
-            def class_allowed(j: int, c: int) -> bool:
-                return True
-
-        best1 = {c: INF for c in classes}
-        best1_k = {c: -1 for c in classes}
-        best2 = {c: INF for c in classes}
+        dist, parent, njumps = _dp_tables(kk + 2)
+        ktimes = self.ktimes.tolist()
+        w_source = self.w_source.tolist()
+        admit, enter = self._class_terms()
+        classes = range(len(admit))
+        best1 = [INF] * len(classes)
+        best1_k = [-1] * len(classes)
+        best2 = [INF] * len(classes)
         admitted = 0
-
-        def admit(i: int) -> None:
-            if not math.isfinite(dist[i + 1]):
-                return
-            for c in admit_classes(i):
-                v = r_value(i, c)
-                if v < best1[c]:
-                    best2[c] = best1[c]
-                    best1[c] = v
-                    best1_k[c] = i + 1
-                elif v < best2[c]:
-                    best2[c] = v
 
         for j in range(1, kk + 1):
             bound = ktimes[j - 1] - self.min_gap
             while admitted < kk and ktimes[admitted] <= bound:
-                admit(admitted)
+                d = float(dist[admitted + 1])
+                for c in classes:
+                    v = d + admit[c][admitted]
+                    if v < best1[c]:
+                        best2[c] = best1[c]
+                        best1[c] = v
+                        best1_k[c] = admitted + 1
+                    elif v < best2[c]:
+                        best2[c] = v
                 admitted += 1
-
-            src_ok = (not self.binary) or int(self.kidx[j - 1]) % 2 == 1
-            cand_src = float(self.w_source[j - 1]) if src_ok else INF
 
             best_val, best_cls = INF, -1
             runner = INF
             for c in classes:
-                if not class_allowed(j, c):
-                    continue
-                term = col_term(j, c)
+                term = enter[c][j - 1]
                 v1 = best1[c] + term
                 if v1 < best_val:
                     runner = min(runner, best_val)
@@ -382,15 +314,16 @@ class _Core:
             # another class with the same value.
             if best_cls >= 0:
                 for c in classes:
-                    if c != best_cls and class_allowed(j, c) and best1_k[c] != best1_k[best_cls]:
-                        runner = min(runner, best1[c] + col_term(j, c))
+                    if c != best_cls and best1_k[c] != best1_k[best_cls]:
+                        runner = min(runner, best1[c] + enter[c][j - 1])
 
+            cand_src = w_source[j - 1]
             contenders = sorted(v for v in (best_val, cand_src, runner) if math.isfinite(v))
             if not contenders:
                 continue
             scale = max(1.0, abs(contenders[0]))
             if len(contenders) > 1 and contenders[1] - contenders[0] <= margin * scale:
-                fallback(j)
+                _relax(j, self.column(j), dist, parent, njumps, self.times)
                 continue
             if cand_src < best_val:
                 dist[j] = cand_src
@@ -402,16 +335,8 @@ class _Core:
                 parent[j] = k
                 njumps[j] = njumps[k] + 1
 
-        fallback(n_v - 1)
-        if not math.isfinite(dist[n_v - 1]):
-            raise RuntimeError("sink unreachable; the graph violates its construction invariants")
-
-        path: list[int] = []
-        v = n_v - 1
-        while v >= 0:
-            path.append(v)
-            v = int(parent[v]) if v > 0 else -1
-        return tuple(reversed(path)), float(dist[n_v - 1])
+        _relax(kk + 1, self.column(kk + 1), dist, parent, njumps, self.times)
+        return _path(parent, dist)
 
     def path_to_sequence(self, path: tuple[int, ...]) -> StateSequence:
         initial = self.arc_state(path[0], path[1])
@@ -511,55 +436,74 @@ def _tie_tol(value: float) -> float:
     return COST_TOL * max(1.0, abs(value))
 
 
+def _dp_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance, parent and jump-count tables with only the source settled."""
+    dist = np.full(n, INF)
+    dist[0] = 0.0
+    return dist, np.full(n, -1, dtype=int), np.zeros(n, dtype=int)
+
+
+def _path_times(v: int, parent: np.ndarray, times: np.ndarray) -> tuple[float, ...]:
+    """Jump times along the settled path from the source to vertex v."""
+    out: list[float] = []
+    while v > 0:
+        out.append(float(times[v]))
+        v = int(parent[v])
+    return tuple(reversed(out))
+
+
+def _relax(
+    j: int, col: np.ndarray, dist: np.ndarray, parent: np.ndarray, njumps: np.ndarray, times: np.ndarray
+) -> None:
+    """Settle vertex j from its column of incoming arc weights.
+
+    Ties (costs equal up to float noise) break deterministically: fewer
+    jumps first, then lexicographically earliest jump times.  The sink
+    (the last vertex) adds no jump; an unreachable vertex stays at +inf.
+    """
+    cand = dist[:j] + col
+    best = cand.min()
+    if not math.isfinite(best):
+        return
+    ties = np.flatnonzero(cand <= best + _tie_tol(best))
+    if len(ties) == 1:
+        k = int(ties[0])
+    else:
+        k = int(min(ties, key=lambda i: (njumps[i], _path_times(int(i), parent, times))))
+    dist[j] = cand[k]
+    parent[j] = k
+    njumps[j] = njumps[k] + (1 if j < len(dist) - 1 else 0)
+
+
+def _path(parent: np.ndarray, dist: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """Source-to-sink vertex path through the parent table, and its cost."""
+    sink = len(dist) - 1
+    if not math.isfinite(dist[sink]):
+        raise RuntimeError("sink unreachable; the graph violates its construction invariants")
+    path = [sink]
+    while path[-1] > 0:
+        path.append(int(parent[path[-1]]))
+    return tuple(reversed(path)), float(dist[sink])
+
+
 def _dp(
     times: np.ndarray, column: Callable[[int], np.ndarray], all_optimal: bool
 ) -> tuple[tuple[int, ...], float, tuple[tuple[int, ...], ...] | None]:
     """Cost-minimal source-to-sink path over lazily provided weight columns.
 
-    Ties (costs equal up to float noise) break deterministically: fewer
-    jumps first, then lexicographically earliest jump times.  Returns vertex
-    index paths; with ``all_optimal`` every cost-minimal path is enumerated.
+    The reference solver: every vertex is settled by :func:`_relax` from
+    its full column.  Returns vertex index paths; with ``all_optimal``
+    every cost-minimal path is enumerated.
     """
     n = len(times)
-    dist = np.full(n, INF)
-    dist[0] = 0.0
-    parent = np.full(n, -1, dtype=int)
-    njumps = np.zeros(n, dtype=int)
+    dist, parent, njumps = _dp_tables(n)
     columns: list[np.ndarray | None] = [None] * n
-
-    def path_times(v: int) -> tuple[float, ...]:
-        out: list[float] = []
-        while v > 0:
-            out.append(float(times[v]))
-            v = int(parent[v])
-        return tuple(reversed(out))
-
     for j in range(1, n):
         col = column(j)
         if all_optimal:
             columns[j] = col
-        cand = dist[:j] + col
-        best = cand.min()
-        if not math.isfinite(best):
-            continue
-        ties = np.flatnonzero(cand <= best + _tie_tol(best))
-        if len(ties) == 1:
-            k = int(ties[0])
-        else:
-            k = int(min(ties, key=lambda i: (njumps[i], path_times(int(i)))))
-        dist[j] = cand[k]
-        parent[j] = k
-        njumps[j] = njumps[k] + (1 if j < n - 1 else 0)
-
-    if not math.isfinite(dist[n - 1]):
-        raise RuntimeError("sink unreachable; the graph violates its construction invariants")
-
-    primary: list[int] = []
-    v = n - 1
-    while v >= 0:
-        primary.append(v)
-        v = int(parent[v]) if v > 0 else -1
-    primary_path = tuple(reversed(primary))
+        _relax(j, col, dist, parent, njumps, times)
+    primary_path, cost = _path(parent, dist)
 
     enumerated: tuple[tuple[int, ...], ...] | None = None
     if all_optimal:
@@ -582,7 +526,7 @@ def _dp(
         paths.sort(key=lambda p: (len(p), tuple(float(times[v]) for v in p)))
         enumerated = tuple(paths)
 
-    return primary_path, float(dist[n - 1]), enumerated
+    return primary_path, cost, enumerated
 
 
 def shortest_path(graph: ProjectionGraph, all_optimal: bool = False) -> ShortestPath:
@@ -653,8 +597,8 @@ def project(
     to 2*gamma.  ``all_optimal`` additionally enumerates every optimal
     projection (combinations across independent subproblems included).
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be finite and nonnegative")
     if binary and len(f.states_used) > 2:
         raise ValueError("binary projection requires a two-state sequence")
     if gamma == 0 or f.n_jumps == 0:

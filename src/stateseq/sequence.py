@@ -36,24 +36,6 @@ def costs_close(a: float, b: float) -> bool:
     return abs(a - b) <= COST_TOL * max(1.0, abs(a), abs(b))
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """The finite state alphabet {1, ..., count}."""
-
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ValueError(f"need at least 2 states, got {self.count}")
-
-    @property
-    def states(self) -> range:
-        return range(1, self.count + 1)
-
-    def __contains__(self, state: int) -> bool:
-        return 1 <= state <= self.count
-
-
 class StateMetric:
     """A metric d on state ids.  Subclasses implement ``d``."""
 
@@ -79,7 +61,7 @@ DISCRETE = DiscreteMetric()
 
 
 class TableMetric(StateMetric):
-    """Metric given by an explicit table over a StateSpace.
+    """Metric given by an explicit table over the state ids 1..m.
 
     Validates the metric axioms (zero diagonal, symmetry, positivity,
     triangle inequality) at construction.
@@ -234,11 +216,6 @@ class Segmentation:
     def __post_init__(self) -> None:
         if len(self.pairs) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more pair than breakpoints")
-
-    def segment_bounds(self, i: int) -> tuple[float, float]:
-        lo = -INF if i == 0 else self.breakpoints[i - 1]
-        hi = INF if i == len(self.breakpoints) else self.breakpoints[i]
-        return lo, hi
 
 
 def segments(f: StateSequence, g: StateSequence) -> Segmentation:

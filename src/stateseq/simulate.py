@@ -110,6 +110,24 @@ class SweepConfig:
             raise ValueError("need at least one swept value")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        self._settings()
+
+    def _settings(self) -> list[tuple[float, float, LtsParams]]:
+        """(mu2, gamma, LTS settings) of each swept value; ValueError if one is invalid."""
+        out = []
+        for value in self.values:
+            mu2 = value if self.param == "mu2" else self.mu2
+            gamma = value if self.param == "gamma" else self.gamma
+            lts = self.lts
+            if self.param == "w":
+                lts = LtsParams(value, lts.sigma, lts.lam, lts.zeta)
+            elif self.param == "lambda":
+                lts = LtsParams(lts.w, lts.sigma, value, lts.zeta)
+            NoiseModel(self.mu1, mu2)  # validates the spell means
+            if not (math.isfinite(gamma) and gamma >= 0):
+                raise ValueError("gamma must be finite and nonnegative")
+            out.append((mu2, gamma, lts))
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,45 +154,39 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     """Score noisy and post-processed labels across the swept values.
 
-    Per-replication seeds do not depend on the swept value, so sweeping a
-    scoring-only parameter (w, lambda) reuses the identical draws and
-    projections the draw-by-draw loop would produce.
+    Replications run on the outside and swept values on the inside.
+    Per-replication seeds do not depend on the swept value, so within one
+    replication each stage runs once per distinct input it depends on: the
+    noisy draw per mu2, its projection per (mu2, gamma) and its scores per
+    (mu2, LTS settings).  A gamma sweep thus draws and scores the noisy
+    labels once per replication, not once per value.
     """
     base = config.base
+    settings = config._settings()
+    acc: list[list[float]] = [[] for _ in settings]
+    lts_noisy: list[list[float]] = [[] for _ in settings]
+    lts_pp: list[list[float]] = [[] for _ in settings]
+    for rep in range(config.replications):
+        draws: dict[float, Labels] = {}
+        projections: dict[tuple[float, float], Labels] = {}
+        noisy_scores: dict[tuple[float, LtsParams], tuple[float, float]] = {}
+        for i, (mu2, gamma, lts) in enumerate(settings):
+            if mu2 not in draws:
+                draws[mu2] = generate_noisy_labels(base, NoiseModel(config.mu1, mu2, seed=config.seed + rep))
+            noisy = draws[mu2]
+            if (mu2, gamma) not in projections:
+                projections[mu2, gamma] = project_labels(noisy, gamma)[0]
+            if (mu2, lts) not in noisy_scores:
+                noisy_scores[mu2, lts] = (accuracy(base, noisy), lts_measure(base, noisy, lts))
+            noisy_acc, noisy_lts = noisy_scores[mu2, lts]
+            acc[i].append(noisy_acc)
+            lts_noisy[i].append(noisy_lts)
+            lts_pp[i].append(lts_measure(base, projections[mu2, gamma], lts))
+
     rows = []
-    scoring_only = config.param in ("w", "lambda")
-
-    cache: list[tuple[Labels, Labels]] = []
-    if scoring_only:
-        for rep in range(config.replications):
-            model = NoiseModel(config.mu1, config.mu2, seed=config.seed + rep)
-            noisy = generate_noisy_labels(base, model)
-            pp, _ = project_labels(noisy, config.gamma)
-            cache.append((noisy, pp))
-
-    for value in config.values:
-        mu2 = value if config.param == "mu2" else config.mu2
-        gamma = value if config.param == "gamma" else config.gamma
-        lts = config.lts
-        if config.param == "w":
-            lts = LtsParams(value, lts.sigma, lts.lam, lts.zeta)
-        elif config.param == "lambda":
-            lts = LtsParams(lts.w, lts.sigma, value, lts.zeta)
-
-        acc, lts_noisy, lts_pp = [], [], []
-        for rep in range(config.replications):
-            if scoring_only:
-                noisy, pp = cache[rep]
-            else:
-                model = NoiseModel(config.mu1, mu2, seed=config.seed + rep)
-                noisy = generate_noisy_labels(base, model)
-                pp, _ = project_labels(noisy, gamma)
-            acc.append(accuracy(base, noisy))
-            lts_noisy.append(lts_measure(base, noisy, lts))
-            lts_pp.append(lts_measure(base, pp, lts))
-
-        m_acc, se_acc = _mean_se(acc)
-        m_noisy, se_noisy = _mean_se(lts_noisy)
-        m_pp, se_pp = _mean_se(lts_pp)
+    for i, value in enumerate(config.values):
+        m_acc, se_acc = _mean_se(acc[i])
+        m_noisy, se_noisy = _mean_se(lts_noisy[i])
+        m_pp, se_pp = _mean_se(lts_pp[i])
         rows.append(SweepRow(config.param, value, m_acc, se_acc, m_noisy, se_noisy, m_pp, se_pp))
     return tuple(rows)

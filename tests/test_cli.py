@@ -169,6 +169,40 @@ class TestScoreCommand:
         assert main(["score", str(worked_path), str(other), "--measure", "lts"]) == 4
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["project", "{worked}", "--gamma", "nan", "--out", "{out}"], 3),
+        (["project", "{worked}", "--gamma", "inf", "--out", "{out}"], 3),
+        (["score", "{worked}", "{worked}", "--measure", "gts", "--w", "nan"], 3),
+        (["score", "{worked}", "{worked}", "--measure", "lts", "--sigma", "-1"], 3),
+        (["score", "{worked}", "{worked}", "--measure", "lts", "--zeta", "nan"], 3),
+        (["simulate", "--gamma", "nan", "--reps", "1", "--out", "{out}"], 3),
+        (["simulate", "--mu2", "0.08,nan", "--reps", "1", "--out", "{out}"], 3),
+        (["score", "{inf}", "{inf}", "--measure", "accuracy"], 2),
+    ],
+    ids=[
+        "project-gamma-nan",
+        "project-gamma-inf",
+        "score-gts-w-nan",
+        "score-lts-sigma-negative",
+        "score-lts-zeta-nan",
+        "simulate-gamma-nan",
+        "simulate-mu2-nan",
+        "score-horizon-inf",
+    ],
+)
+def test_invalid_or_non_finite_parameters_exit_with_error(argv, code, worked_path, tmp_path, capsys):
+    inf_horizon = tmp_path / "inf.csv"
+    inf_horizon.write_text("# format: jumps\n# horizon: inf\n# states: 2\n# initial: 1\ntime,state\n")
+    out = tmp_path / "out.csv"
+    paths = {"worked": str(worked_path), "inf": str(inf_horizon), "out": str(out)}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -8,7 +8,6 @@ from stateseq import (
     build_graph,
     build_graph_binary,
     energy,
-    most_common_state,
     project,
     shortest_path,
     split_long_events,
@@ -52,21 +51,6 @@ class TestEnergy:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             energy(StateSequence(1), StateSequence(1), -1.0)
-
-
-class TestMostCommonState:
-    def test_constant_interval(self):
-        assert most_common_state(StateSequence(2), 0.0, 1.0) == 2
-
-    def test_unbounded_tail_of_worked_example(self):
-        assert most_common_state(WORKED, 0.4, INF) == 2
-
-    def test_tie_prefers_smaller_id(self):
-        f = StateSequence(1, ((0.5, 3),))
-        assert most_common_state(f, 0.0, 1.0) == 1
-
-    def test_unbounded_head(self):
-        assert most_common_state(WORKED, -INF, 0.4) == 0
 
 
 class TestSplitLongEvents:
@@ -232,8 +216,9 @@ class TestProject:
         assert res.cost == pytest.approx(0.3, abs=1e-12)
 
     def test_rejects_negative_gamma(self):
-        with pytest.raises(ValueError):
-            project(WORKED, -0.1)
+        for gamma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                project(WORKED, gamma)
 
     def test_rejects_binary_flag_on_three_states(self):
         with pytest.raises(ValueError):

@@ -8,21 +8,12 @@ from stateseq import (
     DISCRETE,
     Labels,
     StateSequence,
-    StateSpace,
     TableMetric,
     segments,
     standard_distance,
 )
 
 INF = math.inf
-
-
-def test_state_space_validation():
-    assert StateSpace(3).states == range(1, 4)
-    assert 2 in StateSpace(2)
-    assert 5 not in StateSpace(4)
-    with pytest.raises(ValueError):
-        StateSpace(1)
 
 
 class TestStateSequence:
