@@ -126,8 +126,7 @@ def _parse_sampled(meta: dict[str, str], body: list[str]) -> Labels:
     except ValueError as exc:
         raise LabelFileError("sample rows must be integer state ids") from exc
     horizon = len(samples) / rate
-    n_states = meta.get("states")
-    count = int(n_states) if n_states is not None else max(max(samples), 2)
+    count = _meta_value(meta, "states", int) if "states" in meta else max(max(samples), 2)
     if not all(1 <= s <= count for s in samples):
         raise LabelFileError(f"sample state ids must lie in 1..{count}")
     pairs = [(i / rate, s) for i, s in enumerate(samples)]

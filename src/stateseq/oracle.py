@@ -195,5 +195,6 @@ def random_instance(
     seq = StateSequence.from_pairs(states[0], list(zip(times.tolist(), states[1:])))
     gaps = np.diff(seq.jump_times)
     max_gap = float(gaps.max()) if gaps.size else span
-    gamma = float(rng.uniform(1e-3, max_gap))
+    # Gaps can all lie below 1e-3; draw from (max_gap / 2, max_gap) then.
+    gamma = float(rng.uniform(1e-3 if max_gap >= 1e-3 else max_gap / 2, max_gap))
     return seq, gamma

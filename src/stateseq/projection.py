@@ -38,8 +38,8 @@ GAP_TOL = 1e-12
 
 def energy(f: StateSequence, g: StateSequence, gamma: float, metric: StateMetric = DISCRETE) -> float:
     """dist(f, g) + gamma * (number of jumps of g)."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be finite and nonnegative")
     return standard_distance(f, g, metric) + gamma * g.n_jumps
 
 
@@ -63,20 +63,33 @@ class Subproblem:
         return times[0], times[-1]
 
 
-def split_long_events(f: StateSequence, gamma: float, binary: bool = False) -> tuple[Subproblem, ...]:
+def _freeze_threshold(gamma: float, rows: list[list[float]]) -> float:
+    """Event length from which freezing is sound: ``2*gamma / min(1, d_min)``.
+
+    ``d_min`` is the smallest off-diagonal entry of the distance matrix
+    ``rows`` (1 when there is only one state); relabelling L seconds of an
+    event costs at least ``L * d_min``.
+    """
+    d_min = min((d for i, row in enumerate(rows) for j, d in enumerate(row) if i != j), default=1.0)
+    return 2.0 * gamma / min(1.0, d_min)
+
+
+def split_long_events(f: StateSequence, gamma: float, metric: StateMetric = DISCRETE) -> tuple[Subproblem, ...]:
     """Freeze events no optimal solution needs to remove and split between them.
 
-    An event at least ``2*gamma`` long is kept verbatim in some optimal
-    projection, as are the two unbounded boundary events; each maximal run
-    of shorter events in between forms one independent subproblem.  The
-    threshold is ``2*gamma`` for two-state sequences as well: freezing at
-    ``gamma`` looks tempting there but is unsound, since keeping an event of
-    length in (gamma, 2*gamma) pins two retained jumps closer than the
-    binary minimum gap, and removing such an event can be strictly optimal.
+    An event at least ``2*gamma / min(1, d_min)`` long, where ``d_min`` is the
+    smallest distance between two of f's states (``2*gamma`` under the
+    discrete metric), is kept verbatim in some optimal projection, as are the
+    two unbounded boundary events; each maximal run of shorter events in
+    between forms one independent subproblem.  The threshold is the same for
+    two-state sequences: freezing at ``gamma`` looks tempting there but is
+    unsound, since keeping an event of length in (gamma, 2*gamma) pins two
+    retained jumps closer than the binary minimum gap, and removing such an
+    event can be strictly optimal.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
-    threshold = 2.0 * gamma
+    threshold = _freeze_threshold(gamma, metric.matrix(f.states_used).tolist())
     events = f.events()
     frozen = [ev.length >= threshold - GAP_TOL for ev in events]
     subs = []
@@ -99,27 +112,50 @@ class _Core:
     """Per-subproblem weight machinery shared by the solver and the graph.
 
     Vertices are indexed 0 (source, -inf), 1..k (candidate jump times in
-    order), k+1 (sink, +inf).  ``column(j)`` returns the arc weights from
-    every earlier vertex into j, computed from occupancy prefix sums; absent
-    arcs are +inf.
+    order), k+1 (sink, +inf).  Every finite arc weight comes from one table,
+    ``score[c, i]``: the occupancy of each state x of f in [t_1, kept time
+    i), weighted by 1 - d(c, x).  An arc k -> j labelled c therefore costs
+    (t_j - t_k) - (score[c, j] - score[c, k]), the integral of d(c, f) over
+    the arc, plus gamma; it takes the cheapest label under the metric.
+    ``enter`` / ``admit`` are the table with -inf / +inf where label c may
+    not end at j / start at k: in the binary graph c must be f's state right
+    after k, and the jump at j must leave c.  ``column(j)`` returns the arc
+    weights from every earlier vertex into j; absent arcs are +inf.
+
+    Labels are the subproblem's own states plus each of ``input_states``
+    (the whole input's) that no own state dominates: s dominates c when
+    d(s, x) <= d(c, x) for every own state x, so relabelling c as s never
+    costs more.
     """
 
-    def __init__(self, f: StateSequence, gamma: float, metric: StateMetric, binary: bool):
+    def __init__(
+        self, f: StateSequence, gamma: float, metric: StateMetric, binary: bool, input_states: tuple[int, ...] = ()
+    ):
         n = f.n_jumps
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         if n < 2:
             raise ValueError("graph construction needs at least 2 jumps")
-        states = list(f.states_used)
-        if binary and len(states) != 2:
+        own = f.states_used
+        if binary and len(own) != 2:
             raise ValueError("binary graph requires a two-state sequence")
+        universe = sorted(set(own).union(input_states))
+        rows = metric.matrix(universe).tolist()
+        own_pos = [universe.index(s) for s in own]
+        keep = [
+            c
+            for c, s in enumerate(universe)
+            if s in own or not any(all(rows[o][x] <= rows[c][x] for x in own_pos) for o in own_pos)
+        ]
+        states = [universe[c] for c in keep]
+        dmat = np.array([[rows[a][b] for b in keep] for a in keep])
         comp = {s: i for i, s in enumerate(states)}
         m = len(states)
 
         t = np.array(f.jump_times)
         svec = np.array([comp[f.initial_state]] + [comp[s] for _, s in f.jumps])
         internal = np.diff(t)
-        if internal.size and internal.max() > 2.0 * gamma + GAP_TOL:
+        if internal.size and internal.max() > _freeze_threshold(gamma, rows) + GAP_TOL:
             raise ValueError("internal gap exceeds the split threshold; split the sequence first")
 
         # Occupancy of each state within [t_1, t_i), column i = 1..n.
@@ -139,56 +175,35 @@ class _Core:
                 drop.add(2)
             if t[n - 1] - t[n - 2] <= gamma + GAP_TOL:
                 drop.add(n - 1)
-        kept = [i for i in range(1, n + 1) if i not in drop]
+        kidx = np.array([i for i in range(1, n + 1) if i not in drop])
+        pref_k = pref[:, kidx]
+        # C order: column() reduces over states for a run of vertices.
+        score = (1.0 - dmat) @ pref_k
+        if binary:
+            after = np.arange(m)[:, None] == svec[kidx]
+            self.admit, self.enter = np.where(after, score, INF), np.where(after, -INF, score)
+        else:
+            self.admit = self.enter = score
 
         self.gamma = gamma
         self.binary = binary
-        self.discrete = isinstance(metric, DiscreteMetric)
         self.states = states
-        self.dmat = metric.matrix(states)
-        self.n = n
-        self.kidx = np.array(kept)
-        self.ktimes = t[self.kidx - 1]
-        self.k = len(kept)
-        self.pref_k = pref[:, self.kidx]
-        self.pref_end = pref[:, n]
-        self.c0 = int(svec[0])
-        self.cn = int(svec[n])
-        self.skept = svec[self.kidx]  # state right after each candidate jump
+        self.ktimes = t[kidx - 1]
+        self.k = len(kidx)
+        self.c0 = c0 = int(svec[0])
+        self.cn = cn = int(svec[n])
         self.min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
         self.times = np.concatenate(([-INF], self.ktimes, [INF]))
 
-        # Forced-state arcs touching the sentinels; in the binary graph only
-        # odd jump indices connect to the source and only those of the
-        # sink's parity to the sink.
-        self.w_source = self.dmat[self.c0] @ self.pref_k + gamma
-        self.w_sink = self.dmat[self.cn] @ (self.pref_end[:, None] - self.pref_k)
-        if binary:
-            self.w_source[self.kidx % 2 == 0] = INF
-            self.w_sink[(n + 1 - self.kidx) % 2 == 0] = INF
-        self.direct_ok = (n + 1) % 2 == 1 if binary else self.c0 == self.cn
-        self.w_direct = float(self.dmat[self.c0] @ self.pref_end) if self.direct_ok else INF
-        # qmat[c, i] = sum_x d(c, x) * occupancy of x in [t_1, kept time i);
-        # binary arc weights are differences of its entries.
-        self.qmat = self.dmat @ self.pref_k
+        # Arcs touching a sentinel carry its boundary state; the direct
+        # source-to-sink arc exists iff both boundary states agree.
+        self.w_source = np.where(self.enter[c0] > -INF, dmat[c0] @ pref_k + gamma, INF)
+        self.w_sink = np.where(self.admit[cn] < INF, dmat[cn] @ (pref[:, n, None] - pref_k), INF)
+        self.w_direct = float(dmat[c0] @ pref[:, n]) if c0 == cn else INF
 
     @property
     def n_vertices(self) -> int:
         return self.k + 2
-
-    def _finite_weights(self, j: int, p: int) -> np.ndarray:
-        """Weights from finite vertices 1..p into finite vertex j (1-based)."""
-        if self.binary:
-            rows = self.skept[:p]
-            w = self.qmat[rows, j - 1] - self.qmat[rows, np.arange(p)]
-        elif self.discrete:
-            occ = self.pref_k[:, j - 1 : j] - self.pref_k[:, :p]
-            w = (self.ktimes[j - 1] - self.ktimes[:p]) - occ.max(axis=0)
-        else:
-            occ = self.pref_k[:, j - 1 : j] - self.pref_k[:, :p]
-            smc = occ.argmax(axis=0)
-            w = np.einsum("km,mk->k", self.dmat[smc], occ)
-        return w + self.gamma
 
     def column(self, j: int) -> np.ndarray:
         """Arc weights from every vertex below j into vertex j; +inf if absent."""
@@ -196,11 +211,8 @@ class _Core:
         if j <= self.k:
             out[0] = self.w_source[j - 1]
             p = int(np.searchsorted(self.ktimes[: j - 1], self.ktimes[j - 1] - self.min_gap, side="right"))
-            if p:
-                w = self._finite_weights(j, p)
-                if self.binary:
-                    w = np.where((self.kidx[j - 1] - self.kidx[:p]) % 2 == 1, w, INF)
-                out[1 : p + 1] = w
+            gain = self.enter[:, j - 1 : j] - self.admit[:, :p]
+            out[1 : p + 1] = ((self.ktimes[j - 1] - self.ktimes[:p]) - gain).min(axis=0) + self.gamma
         else:
             out[0] = self.w_direct
             out[1:] = self.w_sink
@@ -210,72 +222,35 @@ class _Core:
         """Segment state carried by the arc between vertices a < b."""
         if a == 0:
             return self.states[self.c0]
-        if self.binary:
-            return self.states[int(self.skept[a - 1])]
         if b == self.k + 1:
             return self.states[self.cn]
-        occ = self.pref_k[:, b - 1] - self.pref_k[:, a - 1]
-        return self.states[int(occ.argmax())]
+        return self.states[int((self.enter[:, b - 1] - self.admit[:, a - 1]).argmax())]
 
     def _weight_single(self, j: int, k: int) -> float:
-        """Exact arc weight from finite vertex k into finite vertex j.
-
-        Evaluates the same elementwise expression as :meth:`_finite_weights`
-        so results are bitwise identical to the reference columns.
-        """
-        if self.binary:
-            s = self.skept[k - 1]
-            w = self.qmat[s, j - 1] - self.qmat[s, k - 1]
-        else:
-            occ = self.pref_k[:, j - 1] - self.pref_k[:, k - 1]
-            w = (self.ktimes[j - 1] - self.ktimes[k - 1]) - occ.max()
-        return float(w) + self.gamma
-
-    def _class_terms(self) -> tuple[list[list[float]], list[list[float]]]:
-        """Per-class arc terms: arc k -> j of class c weighs admit[c][k-1] + enter[c][j-1].
-
-        For the discrete metric a class is the arc's segment state c, and
-        the weight is (occ_c[k] - t_k) + (gamma + t_j - occ_c[j]).  In the
-        binary graph a class is the predecessor's index parity, whose
-        segment state is fixed because states alternate; the weight is
-        qmat[s, j] - qmat[s, k] + gamma, allowed only when j has the other
-        parity.  +inf marks a vertex outside a class.
-        """
-        if not self.binary:
-            enter = self.gamma + self.ktimes - self.pref_k
-            return (self.pref_k - self.ktimes).tolist(), enter.tolist()
-        parity = self.kidx % 2
-        admit, enter = [], []
-        for c in (0, 1):
-            q = self.qmat[self.c0 ^ c]
-            admit.append(np.where(parity == c, -q, INF).tolist())
-            enter.append(np.where(parity != c, q + self.gamma, INF).tolist())
-        return admit, enter
+        """Arc weight from finite vertex k into finite vertex j, bitwise as in :meth:`column`."""
+        gain = self.enter[:, j - 1] - self.admit[:, k - 1]
+        return float(((self.ktimes[j - 1] - self.ktimes[k - 1]) - gain).min()) + self.gamma
 
     def solve_primary(self) -> tuple[tuple[int, ...], float]:
-        """Single best path in O(vertices * classes) via running minima.
+        """Single best path in O(vertices * states) via running minima.
 
-        Every arc weight decomposes into a predecessor term and a column
-        term per class (see :meth:`_class_terms`), so a running minimum
-        (plus runner-up for safety) per class of dist[k] + admit[c][k]
-        over the feasible prefix yields each column's winner in O(classes).
-        The winner's cost is recomputed with the exact reference arc
-        expression, and whenever the runner-up comes within a safety margin
-        the column goes through the reference relaxation step
-        :func:`_relax` instead, as does the sink, so results match the
-        reference DP bit for bit including tie-breaking.  Metrics other
-        than the discrete one take the reference path.
+        An arc k -> j labelled c weighs admit[c][k-1] + enter[c][j-1] with
+        admit = score - t_k and enter = gamma + t_j - score (masks carried
+        along as +inf), so a running minimum (plus runner-up for safety)
+        per label of dist[k] + admit[c][k] over the feasible prefix yields
+        each column's winner in O(states).  The winner's cost is recomputed
+        with the exact reference arc expression, and whenever the runner-up
+        comes within a safety margin the column goes through the reference
+        relaxation step :func:`_relax` instead, as does the sink, so results
+        match the reference DP bit for bit including tie-breaking.
         """
-        if not (self.discrete or self.binary):
-            path, cost, _ = _dp(self.times, self.column, all_optimal=False)
-            return path, cost
-
         margin = 1e-9
         kk = self.k
         dist, parent, njumps = _dp_tables(kk + 2)
         ktimes = self.ktimes.tolist()
         w_source = self.w_source.tolist()
-        admit, enter = self._class_terms()
+        admit = (self.admit - self.ktimes).tolist()
+        enter = (self.gamma + self.ktimes - self.enter).tolist()
         classes = range(len(admit))
         best1 = [INF] * len(classes)
         best1_k = [-1] * len(classes)
@@ -403,11 +378,13 @@ def _materialize(core: _Core) -> ProjectionGraph:
 
 
 def build_graph(f: StateSequence, gamma: float, metric: StateMetric = DISCRETE) -> ProjectionGraph:
-    """Candidate-jump DAG for a pre-split sequence (internal gaps < 2*gamma).
+    """Candidate-jump DAG for a pre-split sequence.
 
-    Arc (t_k, t_l) exists iff t_l - t_k >= gamma; its weight is the distance
-    contribution of labelling [t_k, t_l) with the most common state of f
-    there, plus gamma whenever t_l is finite.  Arcs touching a sentinel are
+    Internal gaps must stay below the freezing threshold of
+    :func:`split_long_events`, ``2*gamma / min(1, d_min)``.  Arc (t_k, t_l)
+    exists iff t_l - t_k >= gamma; its weight is the distance contribution
+    of labelling [t_k, t_l) with the cheapest state under the metric, plus
+    gamma whenever t_l is finite.  Arcs touching a sentinel are
     forced to the corresponding boundary state (anything else would weigh
     infinity and is omitted).
     """
@@ -604,15 +581,16 @@ def project(
     if gamma == 0 or f.n_jumps == 0:
         return ProjectionResult(f, 0.0, (), (f,) if all_optimal else None)
 
-    subs = split_long_events(f, gamma, binary)
+    subs = split_long_events(f, gamma, metric)
     if not subs:
         return ProjectionResult(f, 0.0, (), (f,) if all_optimal else None)
 
+    states = f.states_used
     solved: list[StateSequence] = []
     per_sub_optima: list[list[StateSequence]] = []
     total = 0.0
     for sub in subs:
-        core = _Core(sub.sequence, gamma, metric, binary)
+        core = _Core(sub.sequence, gamma, metric, binary, states)
         if all_optimal:
             path, cost, enumerated = _dp(core.times, core.column, all_optimal=True)
         else:

@@ -60,6 +60,8 @@ class TestLabelFiles:
             )
         with pytest.raises(LabelFileError):
             parse_labels("# format: sampled\n# rate: 500\nstate\n")
+        with pytest.raises(LabelFileError):
+            parse_labels("# format: sampled\n# rate: 500\n# states: x\nstate\n1\n2\n")
 
 
 @pytest.fixture
@@ -316,6 +318,12 @@ class TestOracleCheckCommand:
         assert code == 0
         assert "OK" in capsys.readouterr().out
         assert not (tmp_path / "cex.json").exists()
+
+    def test_generator_handles_sub_millisecond_gaps(self, tmp_path, capsys):
+        # Seed 22 draws an instance whose inter-jump gaps all lie below 1e-3.
+        argv = ["oracle-check", "--seed", "22", "--max-jumps", "3", "--instances", "500"]
+        assert main(argv + ["--out", str(tmp_path / "c.json")]) == 0
+        assert "OK" in capsys.readouterr().out
 
     def test_zero_instances_vacuous_pass(self, tmp_path, capsys):
         assert main(["oracle-check", "--instances", "0", "--out", str(tmp_path / "c.json")]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from stateseq import (
     StateSequence,
+    TableMetric,
     build_graph,
     build_graph_binary,
     energy,
@@ -34,6 +35,13 @@ WORKED_ARCS = {
 
 # Two-state sequence whose projection is genuinely non-unique at gamma 0.2.
 BINARY = StateSequence(0, ((0.35, 1), (0.45, 0), (0.55, 1)))
+
+# Non-discrete metrics, each with the number of states random instances use.
+TABLE_METRICS = {
+    "line": (TableMetric([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]), 4),
+    "skew3": (TableMetric([[0, 0.3, 1], [0.3, 0, 0.8], [1, 0.8, 0]]), 3),
+    "star": (TableMetric([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]), 4),
+}
 
 
 class TestEnergy:
@@ -75,11 +83,9 @@ class TestSplitLongEvents:
         # Freezing two-state events already at gamma would pin retained jumps
         # closer than the binary minimum gap, so both modes freeze at 2*gamma.
         f = StateSequence(0, ((1.0, 1), (1.3, 0), (1.4, 1), (1.5, 0)))
-        general = split_long_events(f, 0.25)
-        binary = split_long_events(f, 0.25, binary=True)
-        assert general == binary
+        binary = split_long_events(f, 0.25)
         assert len(binary) == 1 and binary[0].sequence == f
-        frozen = split_long_events(f, 0.14, binary=True)
+        frozen = split_long_events(f, 0.14)
         assert len(frozen) == 1
         assert frozen[0].sequence == StateSequence(1, ((1.3, 0), (1.4, 1), (1.5, 0)))
 
@@ -141,7 +147,7 @@ class TestBuildGraphBinary:
         rng = np.random.default_rng(3)
         for _ in range(25):
             f, gamma = random_instance(rng, max_jumps=6, n_states=2)
-            subs = split_long_events(f, gamma, binary=True)
+            subs = split_long_events(f, gamma)
             for sub in subs:
                 graph = build_graph_binary(sub.sequence, gamma)
                 n = sub.sequence.n_jumps
@@ -219,6 +225,12 @@ class TestProject:
         for gamma in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError):
                 project(WORKED, gamma)
+            with pytest.raises(ValueError):
+                energy(WORKED, WORKED, gamma)
+        for gamma in (-0.1, 0.0, math.nan):
+            for call in (split_long_events, build_graph):
+                with pytest.raises(ValueError):
+                    call(WORKED, gamma)
 
     def test_rejects_binary_flag_on_three_states(self):
         with pytest.raises(ValueError):
@@ -331,6 +343,14 @@ class TestProjectionProperties:
             assert fast.cost == slow.cost
             assert fast.projected == slow.projected
             assert fast.projected in slow.optima
+        for trial in range(60):
+            metric, n_states = list(TABLE_METRICS.values())[trial % 3]
+            f, gamma = random_instance(rng, max_jumps=10, n_states=n_states)
+            fast = project(f, gamma, metric)
+            slow = project(f, gamma, metric, all_optimal=True)
+            assert fast.cost == slow.cost
+            assert fast.projected == slow.projected
+            assert fast.projected in slow.optima
 
     def test_fast_solver_matches_reference_on_grid_aligned_ties(self):
         # Times on a coarse decimal grid mass-produce exact cost ties, the
@@ -387,3 +407,45 @@ class TestProjectionProperties:
             eb = energy(f, project(f, gamma, binary=True).projected, gamma)
             eg = energy(f, project(f, gamma, binary=False).projected, gamma)
             assert abs(eb - eg) <= _cost_tol(eb, eg)
+
+
+def _assert_optimal(f, gamma, metric):
+    reference = brute_force_project(f, gamma, metric)
+    projected = project(f, gamma, metric).projected
+    got = energy(f, projected, gamma, metric)
+    assert abs(got - reference.optimal_cost) <= _cost_tol(got, reference.optimal_cost)
+    assert reference.contains(projected)
+
+
+def _nth_instance(seed, index, n_states):
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        random_instance(rng, 7, n_states)
+    return random_instance(rng, 7, n_states)
+
+
+# Star input whose middle stretch, between the long 2-events, holds only
+# states 2-4, yet relabelling all of it with the centre 1 is strictly optimal.
+STAR_CENTRE = StateSequence(
+    1, ((0.0, 2), (5.0, 3), (5.4, 4), (5.8, 2), (6.2, 3), (6.6, 4), (7.0, 2), (7.4, 3), (7.8, 4), (8.2, 2))
+)
+
+
+class TestTableMetricProjection:
+    # Pinned regressions: "line" costs 8.96 against the optimum 8.29 when arcs
+    # take the most common state; "skew3" (d_min 0.3) loses its optimum when
+    # events are frozen from 2*gamma; "star" needs the absent centre as label.
+    PINNED = {
+        "line": lambda: _nth_instance(5, 889, 4),
+        "skew3": lambda: _nth_instance(5, 10, 3),
+        "star": lambda: (STAR_CENTRE, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLE_METRICS))
+    def test_matches_oracle(self, name):
+        metric, n_states = TABLE_METRICS[name]
+        _assert_optimal(*self.PINNED[name](), metric)
+        rng = np.random.default_rng(52)
+        for _ in range(150):
+            f, gamma = random_instance(rng, max_jumps=7, n_states=n_states)
+            _assert_optimal(f, gamma, metric)
