@@ -3,8 +3,9 @@
 The projection oracle enumerates every candidate directly from the one fact
 that candidate jumps can be restricted to the input's own jump locations; it
 deliberately knows nothing about event freezing, vertex pruning, parity arcs
-or the shortest-path reduction, so it can falsify any of them.  A grid
-evaluator plays the same role for the shifted-distance minimization.
+or the shortest-path reduction, so it can falsify any of them.  For the
+shifted-distance minimization, a direct evaluation at every candidate shift
+and a grid evaluator play the same role.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def brute_force_project(
     below gamma, and returns all minimizers of the jump-penalized distance.
     Only feasible for small inputs.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not math.isfinite(gamma) or gamma < 0:
+        raise ValueError("gamma must be finite and nonnegative")
     alphabet = tuple(sorted(states)) if states is not None else f.states_used
     n = f.n_jumps
     if n > MAX_ORACLE_JUMPS or len(alphabet) > MAX_ORACLE_STATES:
@@ -131,6 +132,33 @@ def brute_force_project(
         sequences.append(StateSequence(f.initial_state, tuple(pairs)))
     sequences.sort(key=lambda s: (s.n_jumps, s.jumps))
     return OracleResult(best, tuple(sequences), searched)
+
+
+def reference_gts(
+    f: StateSequence, g: StateSequence, params: GtsParams, metric: StateMetric = DISCRETE
+) -> float:
+    """The shifted-distance objective evaluated at every candidate shift.
+
+    The candidates are eps = 0, the window endpoints and the alignment
+    a - t of every pair of jumps of g and f, clipped to the window: one
+    standard distance each, O(n*m*(n + m)) in all.  :func:`gts_distance`
+    must return the same float.
+    """
+    candidates = {0.0}
+    if math.isfinite(params.sigma):
+        candidates.update((-params.sigma, params.sigma))
+    for a in g.jump_times:
+        for t in f.jump_times:
+            eps = a - t
+            if math.isfinite(params.sigma):
+                eps = min(max(eps, -params.sigma), params.sigma)
+            candidates.add(eps)
+    best = math.inf
+    for eps in candidates:
+        value = standard_distance(f.shifted(eps), g, metric) + params.w * abs(eps)
+        if value < best:
+            best = value
+    return best
 
 
 def grid_gts(

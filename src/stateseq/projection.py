@@ -122,14 +122,21 @@ class _Core:
     after k, and the jump at j must leave c.  ``column(j)`` returns the arc
     weights from every earlier vertex into j; absent arcs are +inf.
 
-    Labels are the subproblem's own states plus each of ``input_states``
-    (the whole input's) that no own state dominates: s dominates c when
-    d(s, x) <= d(c, x) for every own state x, so relabelling c as s never
-    costs more.
+    Labels are the subproblem's own states plus each state of ``universe``
+    (the whole input's states and their distance-matrix rows, shared by
+    every subproblem of one projection) that no own state dominates: s
+    dominates c when d(s, x) <= d(c, x) for every own state x, so
+    relabelling c as s never costs more.  Without ``universe`` the labels
+    are the own states.
     """
 
     def __init__(
-        self, f: StateSequence, gamma: float, metric: StateMetric, binary: bool, input_states: tuple[int, ...] = ()
+        self,
+        f: StateSequence,
+        gamma: float,
+        metric: StateMetric,
+        binary: bool,
+        universe: tuple[tuple[int, ...], list[list[float]]] | None = None,
     ):
         n = f.n_jumps
         if not gamma > 0:
@@ -139,15 +146,14 @@ class _Core:
         own = f.states_used
         if binary and len(own) != 2:
             raise ValueError("binary graph requires a two-state sequence")
-        universe = sorted(set(own).union(input_states))
-        rows = metric.matrix(universe).tolist()
-        own_pos = [universe.index(s) for s in own]
+        labels, rows = universe if universe is not None else (own, metric.matrix(own).tolist())
+        own_pos = [labels.index(s) for s in own]
         keep = [
             c
-            for c, s in enumerate(universe)
+            for c, s in enumerate(labels)
             if s in own or not any(all(rows[o][x] <= rows[c][x] for x in own_pos) for o in own_pos)
         ]
-        states = [universe[c] for c in keep]
+        states = [labels[c] for c in keep]
         dmat = np.array([[rows[a][b] for b in keep] for a in keep])
         comp = {s: i for i, s in enumerate(states)}
         m = len(states)
@@ -586,11 +592,12 @@ def project(
         return ProjectionResult(f, 0.0, (), (f,) if all_optimal else None)
 
     states = f.states_used
+    universe = (states, metric.matrix(states).tolist())
     solved: list[StateSequence] = []
     per_sub_optima: list[list[StateSequence]] = []
     total = 0.0
     for sub in subs:
-        core = _Core(sub.sequence, gamma, metric, binary, states)
+        core = _Core(sub.sequence, gamma, metric, binary, universe)
         if all_optimal:
             path, cost, enumerated = _dp(core.times, core.column, all_optimal=True)
         else:

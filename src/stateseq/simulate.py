@@ -10,6 +10,7 @@ and tabulates means with standard errors, reproducibly from a single seed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
     """
     rng = np.random.default_rng(model.seed)
     horizon = base.horizon
+    times = [jt for jt, _ in base.jumps]
     pairs: list[tuple[float, int]] = []
     t = 0.0
     correct = True
@@ -61,9 +63,7 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
             else:
                 pairs.append((t, base.state_at(t)))
             end = min(t + span, horizon)
-            for jt, js in base.jumps:
-                if t < jt < end:
-                    pairs.append((jt, js))
+            pairs.extend(base.jumps[bisect_right(times, t) : bisect_left(times, end)])
         else:
             span = rng.exponential(model.mu_incorrect)
             current = base.state_at(t)

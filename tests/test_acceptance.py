@@ -26,7 +26,7 @@ from stateseq import (
     shortest_path,
     standard_distance,
 )
-from stateseq.oracle import brute_force_project, grid_gts, random_instance
+from stateseq.oracle import brute_force_project, grid_gts, random_instance, reference_gts
 from stateseq.projection import GAP_TOL
 from stateseq.sequence import costs_close
 
@@ -216,6 +216,7 @@ def test_criterion_5_metric_axioms():
             g = _random_boundary_matched(rng, boundary)
             exact = gts_distance(f, g, bounded)
             assert exact <= grid_gts(f, g, bounded, grid_step=1e-4) + EXACT
+            assert exact == reference_gts(f, g, bounded)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from stateseq import (
@@ -48,11 +49,47 @@ class TestNoiseModel:
         se = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1) / len(values))
         assert abs(mean - 0.1 / 0.18) <= 3 * se + 0.01
 
+    def test_matches_full_scan_of_base_jumps_on_hour_base(self):
+        # A one-hour base with a jump every 10 s, cycling 1 -> 2 -> 3.
+        base = Labels(3600.0, 3, 1, tuple((10.0 * i, i % 3 + 1) for i in range(1, 360)))
+        for mu_correct, mu_incorrect, seed in ((1.0, 0.8, 1), (0.1, 0.08, 2)):
+            model = NoiseModel(mu_correct, mu_incorrect, seed=seed)
+            assert generate_noisy_labels(base, model) == _noisy_by_full_scan(base, model)
+
     def test_wrong_state_stays_in_alphabet(self):
         base = default_base_labels()
         noisy = generate_noisy_labels(base, NoiseModel(0.5, 0.5, seed=7))
         assert set(s for _, s in noisy.jumps) <= {1, 2, 3}
         assert noisy.horizon == base.horizon
+
+
+def _noisy_by_full_scan(base, model):
+    """generate_noisy_labels as it was written first: every correct spell scans all base jumps."""
+    rng = np.random.default_rng(model.seed)
+    pairs = []
+    t = 0.0
+    correct = True
+    start_state = None
+    while t < base.horizon:
+        if correct:
+            span = rng.exponential(model.mu_correct)
+            if start_state is None:
+                start_state = base.state_at(0.0)
+            else:
+                pairs.append((t, base.state_at(t)))
+            end = min(t + span, base.horizon)
+            for jt, js in base.jumps:
+                if t < jt < end:
+                    pairs.append((jt, js))
+        else:
+            span = rng.exponential(model.mu_incorrect)
+            current = base.state_at(t)
+            others = [s for s in range(1, base.n_states + 1) if s != current]
+            pairs.append((t, others[int(rng.integers(0, len(others)))]))
+        t += span
+        correct = not correct
+    start = base.start_state if start_state is None else start_state
+    return Labels.from_pairs(base.horizon, base.n_states, start, pairs)
 
 
 class TestSweep:
