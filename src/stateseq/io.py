@@ -30,7 +30,9 @@ import io as _io
 import math
 from typing import TYPE_CHECKING, Iterable, TextIO
 
-from .sequence import Labels
+import numpy as np
+
+from .sequence import TIME_MERGE_TOL, Labels
 
 if TYPE_CHECKING:
     from .simulate import SweepRow
@@ -127,9 +129,16 @@ def _parse_sampled(meta: dict[str, str], body: list[str]) -> Labels:
         raise LabelFileError("sample rows must be integer state ids") from exc
     horizon = len(samples) / rate
     count = _meta_value(meta, "states", int) if "states" in meta else max(max(samples), 2)
-    if not all(1 <= s <= count for s in samples):
+    if not (min(samples) >= 1 and max(samples) <= count):
         raise LabelFileError(f"sample state ids must lie in 1..{count}")
-    pairs = [(i / rate, s) for i, s in enumerate(samples)]
+    # Sample i starts at i / rate.  Only the samples that change state become
+    # pairs, unless samples lie closer than the merge tolerance, where
+    # Labels.from_pairs collapses them one by one and needs every sample.
+    # Object dtype keeps state ids of any size exact.
+    starts: Iterable[int] = range(1, len(samples))
+    if np.diff(np.arange(len(samples)) / rate).min(initial=math.inf) >= TIME_MERGE_TOL:
+        starts = (np.flatnonzero(np.diff(np.array(samples, dtype=object))) + 1).tolist()
+    pairs = [(i / rate, samples[i]) for i in starts]
     try:
         return Labels.from_pairs(horizon, count, samples[0], pairs)
     except ValueError as exc:

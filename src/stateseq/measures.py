@@ -40,8 +40,8 @@ class GtsParams:
     sigma: float = 0.35
 
     def __post_init__(self) -> None:
-        if not self.w >= 0:
-            raise ValueError("w must be nonnegative")
+        if not (math.isfinite(self.w) and self.w >= 0):
+            raise ValueError("w must be finite and nonnegative")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
@@ -60,12 +60,12 @@ class LtsParams:
     zeta: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.w >= 0:
-            raise ValueError("w must be nonnegative")
+        if not (math.isfinite(self.w) and self.w >= 0):
+            raise ValueError("w must be finite and nonnegative")
         if not self.sigma > 0 or math.isinf(self.sigma):
             raise ValueError("sigma must be positive and finite")
-        if not self.lam >= 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lambda must be finite and nonnegative")
         if not self.zeta > 0:
             raise ValueError("zeta must be positive")
 
@@ -216,8 +216,8 @@ def lts_distance(
 
 def duration_penalty(g: StateSequence, lam: float, zeta: float) -> float:
     """lam per inter-jump gap strictly shorter than zeta."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and nonnegative")
     if not zeta > 0:
         raise ValueError("zeta must be positive")
     times = g.jump_times

@@ -6,9 +6,11 @@ least ``gamma`` (``2*gamma`` for two-state sequences).  The minimizer is found
 exactly: events long enough to survive some optimal solution are frozen, the
 stretches between them become independent subproblems, and each subproblem is
 solved as a shortest source-to-sink path in a weighted DAG over candidate
-jump times.  Weight columns are computed lazily from occupancy prefix sums,
-so solving never materializes the quadratic arc matrix; :func:`build_graph`
-materializes it on demand for inspection and enumeration.
+jump times.  The solver sweeps the vertices once with a running minimum per
+label plus a bucket of the vertices within a fixed slack of it, so exact
+cost ties are settled inside the sweep from arc weights computed one at a
+time; :func:`build_graph` materializes the quadratic arc matrix on demand
+for inspection, and the reference DP enumerates ties from full columns.
 """
 
 from __future__ import annotations
@@ -207,6 +209,13 @@ class _Core:
         self.w_sink = np.where(self.admit[cn] < INF, dmat[cn] @ (pref[:, n, None] - pref_k), INF)
         self.w_direct = float(dmat[c0] @ pref[:, n]) if c0 == cn else INF
 
+        # Plain-float tables for solve_primary, and its bucket slack M.
+        self.time_list = self.ktimes.tolist()
+        self.enter_rows = self.enter.tolist()
+        self.admit_rows = self.admit.tolist() if binary else self.enter_rows
+        bound = 2 * max(-t[0], t[-1]) + 4 * (t[-1] - t[0]) * max(1.0, dmat.max()) + gamma * (self.k + 2)
+        self.slack = float(2 * COST_TOL * max(1.0, bound))
+
     @property
     def n_vertices(self) -> int:
         return self.k + 2
@@ -234,89 +243,77 @@ class _Core:
 
     def _weight_single(self, j: int, k: int) -> float:
         """Arc weight from finite vertex k into finite vertex j, bitwise as in :meth:`column`."""
-        gain = self.enter[:, j - 1] - self.admit[:, k - 1]
-        return float(((self.ktimes[j - 1] - self.ktimes[k - 1]) - gain).min()) + self.gamma
+        dt = self.time_list[j - 1] - self.time_list[k - 1]
+        return min([dt - (e[j - 1] - a[k - 1]) for e, a in zip(self.enter_rows, self.admit_rows)]) + self.gamma
 
     def solve_primary(self) -> tuple[tuple[int, ...], float]:
-        """Single best path in O(vertices * states) via running minima.
+        """Single best path by running minima, settling every column exactly.
 
-        An arc k -> j labelled c weighs admit[c][k-1] + enter[c][j-1] with
-        admit = score - t_k and enter = gamma + t_j - score (masks carried
-        along as +inf), so a running minimum (plus runner-up for safety)
-        per label of dist[k] + admit[c][k] over the feasible prefix yields
-        each column's winner in O(states).  The winner's cost is recomputed
-        with the exact reference arc expression, and whenever the runner-up
-        comes within a safety margin the column goes through the reference
-        relaxation step :func:`_relax` instead, as does the sink, so results
-        match the reference DP bit for bit including tie-breaking.
+        Arc k -> j labelled c weighs (dist[k] - t_k) + admit[c][k], fixed once k
+        is admitted (t_k <= t_j - min_gap), plus (gamma + t_j) - enter[c][j].  Per
+        label, a bucket holds each admitted vertex whose first part lies within
+        the slack M of the label's running minimum; non-finite values never
+        enter, and entries go once the minimum falls by more than M.  Column
+        j's candidates are the source arc and the bucket entries within M of
+        lo, the least of them; each is costed bitwise as in the reference
+        column, via :meth:`_weight_single`, and the winner is picked as in
+        :func:`_relax`, which also settles the sink.
+
+        M = 2 COST_TOL max(1, B) with B = 2 max|t| + 4 span max(1, d_max) +
+        gamma (vertices) suffices: B bounds every intermediate on both sides (a
+        path into k costs at most span d_max + gamma per jump), and each side
+        takes five roundings of at most u B (u = 2^-53) of the same real sum,
+        so the two values of (k, c) differ by at most E = 10 u B.  The least
+        reference cost is within 2E of lo, a reference tie k within COST_TOL
+        max(1, B) + 4E + u B of lo under its cheapest label c, and its first
+        part within 2 u B more of best[c]: k is in c's bucket and a candidate.
+        COST_TOL = 1e-12 exceeds that rounding, 23 u, over 300-fold.
         """
-        margin = 1e-9
-        kk = self.k
-        dist, parent, njumps = _dp_tables(kk + 2)
-        ktimes = self.ktimes.tolist()
+        kk, gamma, slack = self.k, self.gamma, self.slack
+        dist, parent, njumps = (a.tolist() for a in _dp_tables(kk + 2))
+        ktimes, enter, admit = self.time_list, self.enter_rows, self.admit_rows
         w_source = self.w_source.tolist()
-        admit = (self.admit - self.ktimes).tolist()
-        enter = (self.gamma + self.ktimes - self.enter).tolist()
-        classes = range(len(admit))
-        best1 = [INF] * len(classes)
-        best1_k = [-1] * len(classes)
-        best2 = [INF] * len(classes)
+        labels = range(len(enter))
+        best, floor = [INF] * len(enter), [INF] * len(enter)  # floor: best at the last pruning
+        buckets: list[list[tuple[float, int]]] = [[] for _ in labels]
         admitted = 0
 
         for j in range(1, kk + 1):
-            bound = ktimes[j - 1] - self.min_gap
-            while admitted < kk and ktimes[admitted] <= bound:
-                d = float(dist[admitted + 1])
-                for c in classes:
-                    v = d + admit[c][admitted]
-                    if v < best1[c]:
-                        best2[c] = best1[c]
-                        best1[c] = v
-                        best1_k[c] = admitted + 1
-                    elif v < best2[c]:
-                        best2[c] = v
+            tj = ktimes[j - 1]
+            while admitted < kk and ktimes[admitted] <= tj - self.min_gap:
                 admitted += 1
+                d = dist[admitted] - ktimes[admitted - 1]
+                for c in labels:
+                    v = d + admit[c][admitted - 1]
+                    if v < INF and v <= best[c] + slack:
+                        if v < best[c]:
+                            best[c] = v
+                            if v < floor[c] - slack:
+                                floor[c] = v
+                                buckets[c] = [e for e in buckets[c] if e[0] <= v + slack]
+                        buckets[c].append((v, admitted))
 
-            best_val, best_cls = INF, -1
-            runner = INF
-            for c in classes:
-                term = enter[c][j - 1]
-                v1 = best1[c] + term
-                if v1 < best_val:
-                    runner = min(runner, best_val)
-                    best_val, best_cls = v1, c
-                else:
-                    runner = min(runner, v1)
-                v2 = best2[c] + term
-                if v2 < runner:
-                    runner = v2
-
-            # Runner-up must also consider a different vertex winning via
-            # another class with the same value.
-            if best_cls >= 0:
-                for c in classes:
-                    if c != best_cls and best1_k[c] != best1_k[best_cls]:
-                        runner = min(runner, best1[c] + enter[c][j - 1])
-
-            cand_src = w_source[j - 1]
-            contenders = sorted(v for v in (best_val, cand_src, runner) if math.isfinite(v))
-            if not contenders:
+            g, src = gamma + tj, w_source[j - 1]
+            terms = [g - row[j - 1] for row in enter]
+            tops = [b + e for b, e in zip(best, terms)]
+            lo = min(src, min(tops))
+            if lo == INF:
                 continue
-            scale = max(1.0, abs(contenders[0]))
-            if len(contenders) > 1 and contenders[1] - contenders[0] <= margin * scale:
-                _relax(j, self.column(j), dist, parent, njumps, self.times)
-                continue
-            if cand_src < best_val:
-                dist[j] = cand_src
-                parent[j] = 0
-                njumps[j] = 1
+            cut = lo + slack
+            cands = [0] if src <= cut else []
+            for c in labels:
+                if tops[c] <= cut:
+                    e = terms[c]
+                    cands += [k for v, k in buckets[c] if v + e <= cut]
+            cost = {k: dist[k] + (src if k == 0 else self._weight_single(j, k)) for k in cands}
+            if len(cost) == 1:
+                (k,) = cost
             else:
-                k = best1_k[best_cls]
-                dist[j] = dist[k] + self._weight_single(j, k)
-                parent[j] = k
-                njumps[j] = njumps[k] + 1
+                low = min(cost.values())
+                k = _first_path([k for k, x in cost.items() if x <= low + _tie_tol(low)], njumps, parent)
+            dist[j], parent[j], njumps[j] = cost[k], k, njumps[k] + 1
 
-        _relax(kk + 1, self.column(kk + 1), dist, parent, njumps, self.times)
+        _relax(kk + 1, self.column(kk + 1), dist, parent, njumps)
         return _path(parent, dist)
 
     def path_to_sequence(self, path: tuple[int, ...]) -> StateSequence:
@@ -426,39 +423,40 @@ def _dp_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dist, np.full(n, -1, dtype=int), np.zeros(n, dtype=int)
 
 
-def _path_times(v: int, parent: np.ndarray, times: np.ndarray) -> tuple[float, ...]:
-    """Jump times along the settled path from the source to vertex v."""
-    out: list[float] = []
-    while v > 0:
-        out.append(float(times[v]))
-        v = int(parent[v])
-    return tuple(reversed(out))
+def _first_path(ties: list[int], njumps, parent) -> int:
+    """The tied vertex whose path has the fewest jumps, then the earliest jump times.
+
+    Paths with equal jump counts are equally deep, and times increase with
+    the vertex index: walk both up in step to a shared parent and compare the
+    vertices just below it, at the cost of the distance to that ancestor.
+    """
+    win = ties[0]
+    for k in ties[1:]:
+        if njumps[k] != njumps[win]:
+            win = k if njumps[k] < njumps[win] else win
+            continue
+        a, b = k, win
+        while parent[a] != parent[b]:
+            a, b = parent[a], parent[b]
+        win = k if a < b else win
+    return win
 
 
-def _relax(
-    j: int, col: np.ndarray, dist: np.ndarray, parent: np.ndarray, njumps: np.ndarray, times: np.ndarray
-) -> None:
+def _relax(j: int, col: np.ndarray, dist, parent, njumps) -> None:
     """Settle vertex j from its column of incoming arc weights.
 
-    Ties (costs equal up to float noise) break deterministically: fewer
-    jumps first, then lexicographically earliest jump times.  The sink
+    Ties (costs equal up to COST_TOL) break by :func:`_first_path`.  The sink
     (the last vertex) adds no jump; an unreachable vertex stays at +inf.
     """
-    cand = dist[:j] + col
+    cand = np.add(dist[:j], col)
     best = cand.min()
     if not math.isfinite(best):
         return
-    ties = np.flatnonzero(cand <= best + _tie_tol(best))
-    if len(ties) == 1:
-        k = int(ties[0])
-    else:
-        k = int(min(ties, key=lambda i: (njumps[i], _path_times(int(i), parent, times))))
-    dist[j] = cand[k]
-    parent[j] = k
-    njumps[j] = njumps[k] + (1 if j < len(dist) - 1 else 0)
+    k = _first_path(np.flatnonzero(cand <= best + _tie_tol(best)).tolist(), njumps, parent)
+    dist[j], parent[j], njumps[j] = float(cand[k]), k, njumps[k] + (j < len(dist) - 1)
 
 
-def _path(parent: np.ndarray, dist: np.ndarray) -> tuple[tuple[int, ...], float]:
+def _path(parent, dist) -> tuple[tuple[int, ...], float]:
     """Source-to-sink vertex path through the parent table, and its cost."""
     sink = len(dist) - 1
     if not math.isfinite(dist[sink]):
@@ -485,7 +483,7 @@ def _dp(
         col = column(j)
         if all_optimal:
             columns[j] = col
-        _relax(j, col, dist, parent, njumps, times)
+        _relax(j, col, dist, parent, njumps)
     primary_path, cost = _path(parent, dist)
 
     enumerated: tuple[tuple[int, ...], ...] | None = None

@@ -1,10 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from stateseq.cli import main
-from stateseq.io import LabelFileError, format_labels, parse_labels, read_labels, write_labels
+from stateseq.io import (
+    LabelFileError,
+    _meta_value,
+    _read_metadata,
+    format_labels,
+    parse_labels,
+    read_labels,
+    write_labels,
+)
 from stateseq.sequence import Labels
 
 WORKED_FILE = """\
@@ -62,6 +71,78 @@ class TestLabelFiles:
             parse_labels("# format: sampled\n# rate: 500\nstate\n")
         with pytest.raises(LabelFileError):
             parse_labels("# format: sampled\n# rate: 500\n# states: x\nstate\n1\n2\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# format: sampled\n# rate: 500\nstate\n",
+            "# format: sampled\n# rate: 500\n# states: x\nstate\n1\n2\n",
+            "# format: sampled\n# rate: 500\n# states: 2\nstate\n1\n3\n",
+            "# format: sampled\n# rate: 500\nstate\n1\n0\n",
+            "# format: sampled\n# rate: 500\nstate\n1\n2.0\n",
+            "# format: sampled\n# rate: 0\nstate\n1\n",
+            "# format: sampled\n# rate: inf\nstate\n1\n",
+            "# format: sampled\nstate\n1\n",
+            "# format: sampled\n# rate: 7\nstate\n2\n",
+            "# format: sampled\n# rate: 3e9\nstate\n1\n2\n2\n1\n3\n3\n1\n",
+            f"# format: sampled\n# rate: 5\n# states: {2**65}\nstate\n1\n{2**63}\n{2**63 + 1}\n",
+            SAMPLED_FILE,
+        ],
+        ids=[
+            "no-samples",
+            "states-not-int",
+            "state-above-count",
+            "state-zero",
+            "state-not-int",
+            "rate-zero",
+            "rate-inf",
+            "rate-missing",
+            "one-sample",
+            "samples-within-merge-tolerance",
+            "state-ids-beyond-int64",
+            "two-runs",
+        ],
+    )
+    def test_sampled_form_matches_per_sample_route(self, text):
+        assert _outcome(parse_labels, text) == _outcome(_per_sample_labels, text)
+
+    def test_sampled_form_matches_per_sample_route_on_long_file(self):
+        rng = np.random.default_rng(11)
+        runs = rng.integers(1, 400, size=800)
+        samples = np.repeat(rng.integers(1, 5, size=runs.size), runs)[:100_000]
+        text = "# format: sampled\n# rate: 250\nstate\n" + "\n".join(map(str, samples.tolist())) + "\n"
+        labels = parse_labels(text)
+        assert labels == _per_sample_labels(text)
+        assert samples.size == 100_000 and len(labels.jumps) > 300
+
+
+def _per_sample_labels(text):
+    """The sampled form read with one (time, state) pair per sample."""
+    meta, rows = _read_metadata(text.splitlines())
+    rate = _meta_value(meta, "rate", float)
+    if rows and rows[0] == "state":
+        rows = rows[1:]
+    if not rows:
+        raise LabelFileError("sampled file has no samples")
+    try:
+        samples = [int(r) for r in rows]
+    except ValueError as exc:
+        raise LabelFileError("sample rows must be integer state ids") from exc
+    count = _meta_value(meta, "states", int) if "states" in meta else max(max(samples), 2)
+    if not all(1 <= s <= count for s in samples):
+        raise LabelFileError(f"sample state ids must lie in 1..{count}")
+    pairs = [(i / rate, s) for i, s in enumerate(samples)]
+    try:
+        return Labels.from_pairs(len(samples) / rate, count, samples[0], pairs)
+    except ValueError as exc:
+        raise LabelFileError(str(exc)) from exc
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except LabelFileError as exc:
+        return "error", str(exc)
 
 
 @pytest.fixture
@@ -182,6 +263,10 @@ class TestScoreCommand:
         (["simulate", "--gamma", "nan", "--reps", "1", "--out", "{out}"], 3),
         (["simulate", "--mu2", "0.08,nan", "--reps", "1", "--out", "{out}"], 3),
         (["score", "{inf}", "{inf}", "--measure", "accuracy"], 2),
+        (["score", "{worked}", "{worked}", "--measure", "gts", "--w", "inf"], 3),
+        (["score", "{worked}", "{worked}", "--measure", "lts", "--w", "inf"], 3),
+        (["score", "{worked}", "{worked}", "--measure", "lts", "--lambda", "inf"], 3),
+        (["simulate", "--w", "inf", "--reps", "1", "--out", "{out}"], 3),
     ],
     ids=[
         "project-gamma-nan",
@@ -192,6 +277,10 @@ class TestScoreCommand:
         "simulate-gamma-nan",
         "simulate-mu2-nan",
         "score-horizon-inf",
+        "score-gts-w-inf",
+        "score-lts-w-inf",
+        "score-lts-lambda-inf",
+        "simulate-w-inf",
     ],
 )
 def test_invalid_or_non_finite_parameters_exit_with_error(argv, code, worked_path, tmp_path, capsys):

@@ -233,3 +233,24 @@ class TestAccuracy:
 
     def test_disjoint_constants(self):
         assert accuracy(Labels(60.0, 3, 1), Labels(60.0, 3, 2)) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestParameterValidation:
+    # An infinite weight or penalty turns the eps = 0 term or the LTS
+    # exponent into inf * 0 = nan, so it is rejected up front.
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -0.1])
+    def test_gts_rejects_non_finite_or_negative_w(self, w):
+        with pytest.raises(ValueError):
+            GtsParams(w=w, sigma=0.35)
+
+    @pytest.mark.parametrize("field", ["w", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_lts_rejects_non_finite_or_negative_w_and_lambda(self, field, value):
+        kwargs = {"w": 0.6, "sigma": 0.35, "lam": 0.0001, "zeta": 0.5, field: value}
+        with pytest.raises(ValueError):
+            LtsParams(**kwargs)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+    def test_duration_penalty_rejects_non_finite_or_negative_lambda(self, lam):
+        with pytest.raises(ValueError):
+            duration_penalty(StateSequence(1, ((1.0, 2), (1.3, 1))), lam, 0.5)

@@ -14,7 +14,7 @@ from stateseq import (
     split_long_events,
 )
 from stateseq.oracle import brute_force_project, random_instance
-from stateseq.projection import GAP_TOL, ProjectionGraph
+from stateseq.projection import GAP_TOL, ProjectionGraph, _first_path
 
 INF = math.inf
 
@@ -400,6 +400,42 @@ class TestProjectionProperties:
             assert fast.cost == slow.cost
             assert fast.projected == slow.projected
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_fast_solver_matches_reference_dp_under_time_offsets(self, offset):
+        # Large absolute times widen the rounding gap between the solver's
+        # running-minimum values and the reference arc costs, which the tie
+        # buckets' slack has to cover.
+        rng = np.random.default_rng(53)
+        metric = TABLE_METRICS["line"][0]
+        for trial in range(150):
+            kind = trial % 3
+            if trial % 2:
+                f, gamma = random_instance(rng, max_jumps=10, n_states=2 if kind == 0 else 4)
+            else:
+                f, gamma = _grid_instance(rng, int(rng.integers(2, 12)), 2 if kind == 0 else 4), 0.3
+            f = StateSequence.from_pairs(f.initial_state, [(t + offset, s) for t, s in f.jumps])
+            args = (f, gamma, metric) if kind == 2 else (f, gamma)
+            fast = project(*args, binary=kind == 0)
+            slow = project(*args, binary=kind == 0, all_optimal=True)
+            assert fast.cost == slow.cost
+            assert fast.projected == slow.projected
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 6, 7])
+    def test_fast_solver_matches_reference_dp_on_long_grid_instances(self, seed):
+        # 320 jumps on a 0.1 s grid, one subproblem: long runs of exact ties
+        # put several vertices into a tie bucket and several candidates into
+        # most columns.  These seeds keep the optimum set small enough to
+        # enumerate.
+        rng = np.random.default_rng(seed)
+        binary = seed % 2 == 0
+        f = _grid_instance(rng, 320, 2 if binary else 3)
+        gamma = float(rng.choice([0.2, 0.3, 0.5]))
+        fast = project(f, gamma, binary=binary)
+        slow = project(f, gamma, binary=binary, all_optimal=True)
+        assert fast.n_subproblems == 1 and f.n_jumps >= 300
+        assert fast.cost == slow.cost
+        assert fast.projected == slow.projected
+
     def test_binary_graph_agrees_with_general_graph(self):
         rng = np.random.default_rng(46)
         for _ in range(50):
@@ -407,6 +443,43 @@ class TestProjectionProperties:
             eb = energy(f, project(f, gamma, binary=True).projected, gamma)
             eg = energy(f, project(f, gamma, binary=False).projected, gamma)
             assert abs(eb - eg) <= _cost_tol(eb, eg)
+
+
+def _grid_instance(rng, n, n_states):
+    """n jumps 0.1, 0.2 or 0.3 s apart, never repeating a state."""
+    times = np.round(0.1 * np.cumsum(rng.choice([1, 1, 2, 3], size=n)), 10)
+    states = [1]
+    for _ in range(n):
+        nxt = int(rng.integers(1, n_states))
+        states.append(nxt if nxt < states[-1] else nxt + 1)
+    return StateSequence.from_pairs(states[0], zip(times.tolist(), states[1:]))
+
+
+class TestFirstPath:
+    def test_orders_like_jump_count_then_path_times(self):
+        # Random parent trees over time-ordered vertices; the reference key
+        # is (jumps, jump times from the source), built by walking each path.
+        rng = np.random.default_rng(54)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            times = np.concatenate(([-INF], np.cumsum(rng.uniform(0.01, 1.0, size=n - 1))))
+            parent, njumps = [-1], [0]
+            for v in range(1, n):
+                parent.append(int(rng.integers(0, v)))
+                njumps.append(njumps[parent[v]] + 1)
+
+            def key(v):
+                jumps, path = njumps[v], []
+                while v > 0:
+                    path.append(float(times[v]))
+                    v = parent[v]
+                return jumps, tuple(reversed(path))
+
+            for _ in range(10):
+                ties = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+                expected = min(ties, key=key)
+                assert _first_path(ties, njumps, parent) == expected
+                assert _first_path(ties, np.array(njumps), np.array(parent)) == expected
 
 
 def _assert_optimal(f, gamma, metric):
