@@ -2,8 +2,8 @@
 
 Subcommands: ``project`` (post-process a label file), ``score`` (compare an
 estimate against ground truth), ``simulate`` (seeded Monte Carlo parameter
-sweeps, CSV output) and ``oracle-check`` (verify the fast projection against
-the brute-force reference on random instances).
+sweeps, CSV output) and ``oracle-check`` (verify the fast projection and every
+optimum it lists against the brute-force reference on random instances).
 
 Exit codes: 0 ok, 1 check failed, 2 malformed file, 3 invalid parameters,
 4 incompatible inputs.
@@ -234,22 +234,33 @@ def _cmd_oracle_check(args) -> int:
         reference = brute_force_project(f, gamma)
         result = project(f, gamma)
         got = energy(f, result.projected, gamma)
-        if not costs_close(got, reference.optimal_cost) or not reference.contains(result.projected):
-            dump = {
-                "instance": i,
-                "initial": f.initial_state,
-                "jumps": [[t, s] for t, s in f.jumps],
-                "gamma": gamma,
-                "expected_cost": reference.optimal_cost,
-                "projected_cost": got,
-                "projected_jumps": [[t, s] for t, s in result.projected.jumps],
-                "in_optimal_set": reference.contains(result.projected),
-            }
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(dump, fh, indent=2)
-                fh.write("\n")
-            print(f"FAIL: instance {i} disagrees with brute force (see {args.out})")
-            return EXIT_CHECK_FAILED
+        primary_ok = costs_close(got, reference.optimal_cost) and reference.contains(result.projected)
+        stray = []
+        if primary_ok:
+            # Every listed optimum must be a brute-force optimum at optimal energy.
+            stray = [
+                seq
+                for seq in project(f, gamma, all_optimal=True).optima
+                if not (reference.contains(seq) and costs_close(energy(f, seq, gamma), reference.optimal_cost))
+            ]
+        if primary_ok and not stray:
+            continue
+        dump = {
+            "instance": i,
+            "initial": f.initial_state,
+            "jumps": [[t, s] for t, s in f.jumps],
+            "gamma": gamma,
+            "expected_cost": reference.optimal_cost,
+            "projected_cost": got,
+            "projected_jumps": [[t, s] for t, s in result.projected.jumps],
+            "in_optimal_set": reference.contains(result.projected),
+            "stray_optima": [[[t, s] for t, s in seq.jumps] for seq in stray],
+        }
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(dump, fh, indent=2)
+            fh.write("\n")
+        print(f"FAIL: instance {i} disagrees with brute force (see {args.out})")
+        return EXIT_CHECK_FAILED
     print(f"OK: {args.instances} instances agree with brute force")
     return EXIT_OK
 

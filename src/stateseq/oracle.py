@@ -3,7 +3,9 @@
 The projection oracle enumerates every candidate directly from the one fact
 that candidate jumps can be restricted to the input's own jump locations; it
 deliberately knows nothing about event freezing, vertex pruning, parity arcs
-or the shortest-path reduction, so it can falsify any of them.  For the
+or the shortest-path reduction, so it can falsify any of them.  Past its
+size bound, the per-column DP of :func:`reference_project` checks the
+running-minima solver and its tie record on the same graph.  For the
 shifted-distance minimization, a direct evaluation at every candidate shift
 and a grid evaluator play the same role.
 """
@@ -17,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .measures import GtsParams
-from .projection import GAP_TOL
+from .projection import GAP_TOL, ProjectionResult, _Core, _dp, _project_with, _tie_tol
 from .sequence import DISCRETE, StateMetric, StateSequence, costs_close, standard_distance
 
 MAX_ORACLE_JUMPS = 10
@@ -132,6 +134,40 @@ def brute_force_project(
         sequences.append(StateSequence(f.initial_state, tuple(pairs)))
     sequences.sort(key=lambda s: (s.n_jumps, s.jumps))
     return OracleResult(best, tuple(sequences), searched)
+
+
+def _reference_tables(core: _Core) -> tuple[list[int], list[float], dict[int, list[int]]]:
+    """One subproblem by the per-column DP, in O(n^2) time and memory.
+
+    The parent and distance tables come from :func:`_dp` over the stored
+    full weight columns.  The tie record lists, for every vertex, each
+    predecessor within COST_TOL of the exact minimum ``dmin`` of its column,
+    whatever the tie-break chose.
+    """
+    n = core.n_vertices
+    columns = [np.empty(0)] + [core.column(j) for j in range(1, n)]
+    parent, dist, _ = _dp(n, columns.__getitem__)
+    dmin = np.full(n, math.inf)
+    dmin[0] = 0.0
+    ties: dict[int, list[int]] = {}
+    for v in range(1, n):
+        cand = dmin[:v] + columns[v]
+        dmin[v] = cand.min()
+        ties[v] = np.flatnonzero(cand <= dmin[v] + _tie_tol(dmin[v])).tolist()
+    return parent, dist, ties
+
+
+def reference_project(
+    f: StateSequence, gamma: float, metric: StateMetric = DISCRETE, *, binary: bool = False
+) -> ProjectionResult:
+    """:func:`project` with ``all_optimal``, each subproblem solved by the per-column DP.
+
+    The split, the arc tables and the combination across subproblems are
+    :func:`project`'s; the solver and the optimum set are not.  Its cost and
+    primary must equal the fast solver's bit for bit, and its ``optima``
+    tuple must equal the one enumerated from the solver's tie record.
+    """
+    return _project_with(_reference_tables, f, gamma, metric, binary, True)
 
 
 def reference_gts(

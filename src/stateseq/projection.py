@@ -9,8 +9,8 @@ solved as a shortest source-to-sink path in a weighted DAG over candidate
 jump times.  The solver sweeps the vertices once with a running minimum per
 label plus a bucket of the vertices within a fixed slack of it, so exact
 cost ties are settled inside the sweep from arc weights computed one at a
-time; :func:`build_graph` materializes the quadratic arc matrix on demand
-for inspection, and the reference DP enumerates ties from full columns.
+time, and its record of tied predecessors lists every optimal path;
+:func:`build_graph` materializes the quadratic arc matrix for inspection.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class _Core:
         dt = self.time_list[j - 1] - self.time_list[k - 1]
         return min([dt - (e[j - 1] - a[k - 1]) for e, a in zip(self.enter_rows, self.admit_rows)]) + self.gamma
 
-    def solve_primary(self) -> tuple[tuple[int, ...], float]:
-        """Single best path by running minima, settling every column exactly.
+    def solve_primary(self) -> tuple[list[int], list[float], dict[int, list[int]]]:
+        """Parent and distance tables by running minima, and the tie record.
 
         Arc k -> j labelled c weighs (dist[k] - t_k) + admit[c][k], fixed once k
         is admitted (t_k <= t_j - min_gap), plus (gamma + t_j) - enter[c][j].  Per
@@ -257,7 +257,8 @@ class _Core:
         j's candidates are the source arc and the bucket entries within M of
         lo, the least of them; each is costed bitwise as in the reference
         column, via :meth:`_weight_single`, and the winner is picked as in
-        :func:`_relax`, which also settles the sink.
+        :func:`_relax`, which also settles the sink.  The candidates tied
+        with the least cost are recorded where there are several.
 
         M = 2 COST_TOL max(1, B) with B = 2 max|t| + 4 span max(1, d_max) +
         gamma (vertices) suffices: B bounds every intermediate on both sides (a
@@ -270,12 +271,13 @@ class _Core:
         COST_TOL = 1e-12 exceeds that rounding, 23 u, over 300-fold.
         """
         kk, gamma, slack = self.k, self.gamma, self.slack
-        dist, parent, njumps = (a.tolist() for a in _dp_tables(kk + 2))
+        dist, parent, njumps = _dp_tables(kk + 2)
         ktimes, enter, admit = self.time_list, self.enter_rows, self.admit_rows
         w_source = self.w_source.tolist()
         labels = range(len(enter))
         best, floor = [INF] * len(enter), [INF] * len(enter)  # floor: best at the last pruning
         buckets: list[list[tuple[float, int]]] = [[] for _ in labels]
+        ties: dict[int, list[int]] = {}
         admitted = 0
 
         for j in range(1, kk + 1):
@@ -310,11 +312,14 @@ class _Core:
                 (k,) = cost
             else:
                 low = min(cost.values())
-                k = _first_path([k for k, x in cost.items() if x <= low + _tie_tol(low)], njumps, parent)
+                tied = [k for k, x in cost.items() if x <= low + _tie_tol(low)]
+                if len(tied) > 1:
+                    ties[j] = tied
+                k = _first_path(tied, njumps, parent)
             dist[j], parent[j], njumps[j] = cost[k], k, njumps[k] + 1
 
-        _relax(kk + 1, self.column(kk + 1), dist, parent, njumps)
-        return _path(parent, dist)
+        _relax(kk + 1, self.column(kk + 1), dist, parent, njumps, ties)
+        return parent, dist, ties
 
     def path_to_sequence(self, path: tuple[int, ...]) -> StateSequence:
         initial = self.arc_state(path[0], path[1])
@@ -416,11 +421,9 @@ def _tie_tol(value: float) -> float:
     return COST_TOL * max(1.0, abs(value))
 
 
-def _dp_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dp_tables(n: int) -> tuple[list[float], list[int], list[int]]:
     """Distance, parent and jump-count tables with only the source settled."""
-    dist = np.full(n, INF)
-    dist[0] = 0.0
-    return dist, np.full(n, -1, dtype=int), np.zeros(n, dtype=int)
+    return [0.0] + [INF] * (n - 1), [-1] * n, [0] * n
 
 
 def _first_path(ties: list[int], njumps, parent) -> int:
@@ -442,17 +445,21 @@ def _first_path(ties: list[int], njumps, parent) -> int:
     return win
 
 
-def _relax(j: int, col: np.ndarray, dist, parent, njumps) -> None:
+def _relax(j: int, col: np.ndarray, dist, parent, njumps, ties: dict[int, list[int]]) -> None:
     """Settle vertex j from its column of incoming arc weights.
 
-    Ties (costs equal up to COST_TOL) break by :func:`_first_path`.  The sink
-    (the last vertex) adds no jump; an unreachable vertex stays at +inf.
+    Ties (costs equal up to COST_TOL) break by :func:`_first_path`, and more
+    than one tied predecessor goes into ``ties[j]``.  The sink (the last
+    vertex) adds no jump; an unreachable vertex stays at +inf.
     """
     cand = np.add(dist[:j], col)
     best = cand.min()
     if not math.isfinite(best):
         return
-    k = _first_path(np.flatnonzero(cand <= best + _tie_tol(best)).tolist(), njumps, parent)
+    tied = np.flatnonzero(cand <= best + _tie_tol(best)).tolist()
+    if len(tied) > 1:
+        ties[j] = tied
+    k = _first_path(tied, njumps, parent)
     dist[j], parent[j], njumps[j] = float(cand[k]), k, njumps[k] + (j < len(dist) - 1)
 
 
@@ -467,47 +474,35 @@ def _path(parent, dist) -> tuple[tuple[int, ...], float]:
     return tuple(reversed(path)), float(dist[sink])
 
 
-def _dp(
-    times: np.ndarray, column: Callable[[int], np.ndarray], all_optimal: bool
-) -> tuple[tuple[int, ...], float, tuple[tuple[int, ...], ...] | None]:
-    """Cost-minimal source-to-sink path over lazily provided weight columns.
+def _optimal_paths(parent, ties: dict[int, list[int]], times) -> list[tuple[int, ...]]:
+    """Every optimal source-to-sink path, sorted by jump count, then jump times.
 
-    The reference solver: every vertex is settled by :func:`_relax` from
-    its full column.  Returns vertex index paths; with ``all_optimal``
-    every cost-minimal path is enumerated.
+    Walks back from the sink through each vertex's tied predecessors:
+    ``ties[v]`` where recorded, else ``parent[v]`` alone.  Memory is linear
+    in the vertex count plus the output, whose size can be exponential.
     """
-    n = len(times)
+    paths: list[tuple[int, ...]] = []
+    trail: list[int] = []  # the sink back to the vertex being visited
+    stack = [(len(parent) - 1, 0)]
+    while stack:
+        v, depth = stack.pop()
+        del trail[depth:]
+        trail.append(v)
+        if v == 0:
+            paths.append(tuple(reversed(trail)))
+        else:
+            stack.extend((k, depth + 1) for k in ties.get(v, (parent[v],)))
+    paths.sort(key=lambda p: (len(p), tuple(float(times[v]) for v in p)))
+    return paths
+
+
+def _dp(n: int, column: Callable[[int], np.ndarray]) -> tuple[list[int], list[float], dict[int, list[int]]]:
+    """:meth:`_Core.solve_primary`'s tables, each vertex settled by :func:`_relax` from its full column."""
     dist, parent, njumps = _dp_tables(n)
-    columns: list[np.ndarray | None] = [None] * n
+    ties: dict[int, list[int]] = {}
     for j in range(1, n):
-        col = column(j)
-        if all_optimal:
-            columns[j] = col
-        _relax(j, col, dist, parent, njumps)
-    primary_path, cost = _path(parent, dist)
-
-    enumerated: tuple[tuple[int, ...], ...] | None = None
-    if all_optimal:
-        dmin = np.full(n, INF)
-        dmin[0] = 0.0
-        for j in range(1, n):
-            dmin[j] = (dmin[:j] + columns[j]).min()
-        paths: list[tuple[int, ...]] = []
-
-        def backtrack(v: int, suffix: tuple[int, ...]) -> None:
-            if v == 0:
-                paths.append((0,) + suffix)
-                return
-            cand = dmin[:v] + columns[v]
-            target = dmin[v]
-            for k in np.flatnonzero(cand <= target + _tie_tol(target)):
-                backtrack(int(k), (v,) + suffix)
-
-        backtrack(n - 1, ())
-        paths.sort(key=lambda p: (len(p), tuple(float(times[v]) for v in p)))
-        enumerated = tuple(paths)
-
-    return primary_path, cost, enumerated
+        _relax(j, column(j), dist, parent, njumps, ties)
+    return parent, dist, ties
 
 
 def shortest_path(graph: ProjectionGraph, all_optimal: bool = False) -> ShortestPath:
@@ -516,14 +511,13 @@ def shortest_path(graph: ProjectionGraph, all_optimal: bool = False) -> Shortest
     Equal-cost ties resolve to fewer jumps, then lexicographically earliest
     jump times; ``all_optimal`` also enumerates every cost-minimal path.
     """
-    path, cost, enumerated = _dp(
-        graph.times, lambda j: graph.weight[:j, j], all_optimal=all_optimal
-    )
+    parent, dist, ties = _dp(graph.n_vertices, lambda j: graph.weight[:j, j])
+    path, cost = _path(parent, dist)
 
     def to_times(p: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(float(graph.times[v]) for v in p)
 
-    all_paths = tuple(to_times(p) for p in enumerated) if enumerated is not None else None
+    all_paths = tuple(map(to_times, _optimal_paths(parent, ties, graph.times))) if all_optimal else None
     return ShortestPath(to_times(path), cost, all_paths)
 
 
@@ -578,6 +572,11 @@ def project(
     to 2*gamma.  ``all_optimal`` additionally enumerates every optimal
     projection (combinations across independent subproblems included).
     """
+    return _project_with(_Core.solve_primary, f, gamma, metric, binary, all_optimal)
+
+
+def _project_with(solve, f, gamma, metric, binary, all_optimal) -> ProjectionResult:
+    """:func:`project` with each subproblem's tables and tie record from ``solve(core)``."""
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and nonnegative")
     if binary and len(f.states_used) > 2:
@@ -596,16 +595,13 @@ def project(
     total = 0.0
     for sub in subs:
         core = _Core(sub.sequence, gamma, metric, binary, universe)
-        if all_optimal:
-            path, cost, enumerated = _dp(core.times, core.column, all_optimal=True)
-        else:
-            path, cost = core.solve_primary()
-            enumerated = None
+        parent, dist, ties = solve(core)
+        path, cost = _path(parent, dist)
         solved.append(core.path_to_sequence(path))
         total += cost
         if all_optimal:
             seen: dict[tuple, StateSequence] = {}
-            for p in enumerated or ():
+            for p in _optimal_paths(parent, ties, core.times):
                 seq = core.path_to_sequence(p)
                 seen.setdefault((seq.initial_state, seq.jumps), seq)
             per_sub_optima.append(sorted(seen.values(), key=_seq_sort_key))

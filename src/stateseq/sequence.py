@@ -63,14 +63,16 @@ DISCRETE = DiscreteMetric()
 class TableMetric(StateMetric):
     """Metric given by an explicit table over the state ids 1..m.
 
-    Validates the metric axioms (zero diagonal, symmetry, positivity,
-    triangle inequality) at construction.
+    Validates finiteness and the metric axioms (zero diagonal, symmetry,
+    positivity, triangle inequality) at construction.
     """
 
     def __init__(self, table: Sequence[Sequence[float]]):
         m = len(table)
         if m < 2 or any(len(row) != m for row in table):
             raise ValueError("table must be square with size >= 2")
+        if not all(math.isfinite(x) for row in table for x in row):
+            raise ValueError("distances must be finite")
         for i in range(m):
             if table[i][i] != 0.0:
                 raise ValueError(f"d({i + 1},{i + 1}) must be 0")

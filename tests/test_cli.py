@@ -414,6 +414,30 @@ class TestOracleCheckCommand:
         assert main(argv + ["--out", str(tmp_path / "c.json")]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_default_run_passes_with_all_optima_checked(self, tmp_path, capsys):
+        # The default 500 instances, each also projected with all_optimal.
+        assert main(["oracle-check", "--out", str(tmp_path / "c.json")]) == 0
+        assert "OK: 500 instances" in capsys.readouterr().out
+        assert not (tmp_path / "c.json").exists()
+
+    def test_stray_optimum_dumps_counterexample(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import stateseq.cli as cli
+        from stateseq.projection import project
+
+        # A broken optimum list: the input itself is listed as an optimum.
+        def listing_input(f, gamma, all_optimal=False):
+            res = project(f, gamma, all_optimal=all_optimal)
+            return dataclasses.replace(res, optima=res.optima + (f,)) if all_optimal else res
+
+        monkeypatch.setattr(cli, "project", listing_input)
+        out = tmp_path / "cex.json"
+        assert main(["oracle-check", "--instances", "20", "--seed", "5", "--out", str(out)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        dump = json.loads(out.read_text())
+        assert dump["in_optimal_set"] and dump["stray_optima"]
+
     def test_zero_instances_vacuous_pass(self, tmp_path, capsys):
         assert main(["oracle-check", "--instances", "0", "--out", str(tmp_path / "c.json")]) == 0
         assert "0 instances" in capsys.readouterr().out

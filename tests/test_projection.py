@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from stateseq import (
     shortest_path,
     split_long_events,
 )
-from stateseq.oracle import brute_force_project, random_instance
+from stateseq.oracle import brute_force_project, random_instance, reference_project
 from stateseq.projection import GAP_TOL, ProjectionGraph, _first_path
 
 INF = math.inf
@@ -332,25 +333,28 @@ class TestProjectionProperties:
             )
 
     def test_fast_solver_matches_reference_dp(self):
-        # project() uses the running-minima solver; with all_optimal it takes
-        # the per-column reference DP.  Both must agree bit for bit.
+        # project() uses the running-minima solver; reference_project the
+        # per-column DP.  Both must agree bit for bit, and the optima listed
+        # from the solver's tie record must be the reference's.
         rng = np.random.default_rng(48)
         for trial in range(120):
             binary = trial % 3 == 0
             f, gamma = random_instance(rng, max_jumps=10, n_states=2 if binary else 4)
             fast = project(f, gamma, binary=binary)
-            slow = project(f, gamma, binary=binary, all_optimal=True)
+            slow = reference_project(f, gamma, binary=binary)
             assert fast.cost == slow.cost
             assert fast.projected == slow.projected
             assert fast.projected in slow.optima
+            assert project(f, gamma, binary=binary, all_optimal=True).optima == slow.optima
         for trial in range(60):
             metric, n_states = list(TABLE_METRICS.values())[trial % 3]
             f, gamma = random_instance(rng, max_jumps=10, n_states=n_states)
             fast = project(f, gamma, metric)
-            slow = project(f, gamma, metric, all_optimal=True)
+            slow = reference_project(f, gamma, metric)
             assert fast.cost == slow.cost
             assert fast.projected == slow.projected
             assert fast.projected in slow.optima
+            assert project(f, gamma, metric, all_optimal=True).optima == slow.optima
 
     def test_fast_solver_matches_reference_on_grid_aligned_ties(self):
         # Times on a coarse decimal grid mass-produce exact cost ties, the
@@ -371,9 +375,10 @@ class TestProjectionProperties:
                 continue
             gamma = float(rng.choice([0.1, 0.2, 0.3, 0.5, 0.7, 1.0]))
             fast = project(f, gamma, binary=binary)
-            slow = project(f, gamma, binary=binary, all_optimal=True)
+            slow = reference_project(f, gamma, binary=binary)
             assert fast.cost == slow.cost
             assert fast.projected == slow.projected
+            assert project(f, gamma, binary=binary, all_optimal=True).optima == slow.optima
             reference = brute_force_project(f, gamma)
             for optimum in slow.optima:
                 assert abs(energy(f, optimum, gamma) - reference.optimal_cost) <= _cost_tol(
@@ -396,9 +401,10 @@ class TestProjectionProperties:
             f = StateSequence.from_pairs(states[0], zip(times.tolist(), states[1:]))
             gamma = float(rng.uniform(0.1, 1.0))
             fast = project(f, gamma, binary=binary)
-            slow = project(f, gamma, binary=binary, all_optimal=True)
+            slow = reference_project(f, gamma, binary=binary)
             assert fast.cost == slow.cost
             assert fast.projected == slow.projected
+            assert project(f, gamma, binary=binary, all_optimal=True).optima == slow.optima
 
     @pytest.mark.parametrize("offset", [1e3, 1e6])
     def test_fast_solver_matches_reference_dp_under_time_offsets(self, offset):
@@ -416,9 +422,10 @@ class TestProjectionProperties:
             f = StateSequence.from_pairs(f.initial_state, [(t + offset, s) for t, s in f.jumps])
             args = (f, gamma, metric) if kind == 2 else (f, gamma)
             fast = project(*args, binary=kind == 0)
-            slow = project(*args, binary=kind == 0, all_optimal=True)
+            slow = reference_project(*args, binary=kind == 0)
             assert fast.cost == slow.cost
             assert fast.projected == slow.projected
+            assert project(*args, binary=kind == 0, all_optimal=True).optima == slow.optima
 
     @pytest.mark.parametrize("seed", [0, 1, 4, 6, 7])
     def test_fast_solver_matches_reference_dp_on_long_grid_instances(self, seed):
@@ -431,10 +438,32 @@ class TestProjectionProperties:
         f = _grid_instance(rng, 320, 2 if binary else 3)
         gamma = float(rng.choice([0.2, 0.3, 0.5]))
         fast = project(f, gamma, binary=binary)
-        slow = project(f, gamma, binary=binary, all_optimal=True)
+        slow = reference_project(f, gamma, binary=binary)
         assert fast.n_subproblems == 1 and f.n_jumps >= 300
         assert fast.cost == slow.cost
         assert fast.projected == slow.projected
+        assert project(f, gamma, binary=binary, all_optimal=True).optima == slow.optima
+
+    def test_all_optimal_memory_stays_linear(self):
+        # One 4,000-jump subproblem: its full weight columns alone would take
+        # ~64 MiB, while the solver's tie record grows with the vertex count.
+        rng = np.random.default_rng(60)
+        n = 4000
+        times = np.sort(rng.uniform(0.0, 0.05 * n, size=n))
+        states = [1]
+        for _ in range(n):
+            nxt = int(rng.integers(1, 3))
+            states.append(nxt if nxt < states[-1] else nxt + 1)
+        f = StateSequence.from_pairs(states[0], zip(times.tolist(), states[1:]))
+        tracemalloc.start()
+        try:
+            res = project(f, 0.5, all_optimal=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_subproblems == 1 and f.n_jumps == n
+        assert peak < 16 * 2**20
+        assert res.projected == res.optima[0]
 
     def test_binary_graph_agrees_with_general_graph(self):
         rng = np.random.default_rng(46)

@@ -170,6 +170,15 @@ class TestTableMetric:
         with pytest.raises(ValueError):
             TableMetric([[1, 1], [1, 0]])
 
+    @pytest.mark.parametrize("bad", [INF, math.nan])
+    def test_rejects_non_finite_distances(self, bad):
+        # inf passes the triangle check and NaN would only fail as asymmetric;
+        # both are named for what they are.
+        with pytest.raises(ValueError, match="finite"):
+            TableMetric([[0, bad, bad], [bad, 0, bad], [bad, bad, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            TableMetric([[0, 1], [1, bad]])
+
 
 class TestLabels:
     def test_jump_zero_overrides_start(self):
