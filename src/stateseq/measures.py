@@ -66,8 +66,8 @@ class LtsParams:
             raise ValueError("sigma must be positive and finite")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lambda must be finite and nonnegative")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive")
+        if not (math.isfinite(self.zeta) and self.zeta > 0):
+            raise ValueError("zeta must be finite and positive")
 
 
 def gts_distance(
@@ -218,8 +218,8 @@ def duration_penalty(g: StateSequence, lam: float, zeta: float) -> float:
     """lam per inter-jump gap strictly shorter than zeta."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and nonnegative")
-    if not zeta > 0:
-        raise ValueError("zeta must be positive")
+    if not (math.isfinite(zeta) and zeta > 0):
+        raise ValueError("zeta must be finite and positive")
     times = g.jump_times
     violations = sum(1 for a, b in zip(times, times[1:]) if b - a < zeta)
     return lam * violations

@@ -87,31 +87,127 @@ def split_long_events(f: StateSequence, gamma: float, metric: StateMetric = DISC
     two-state sequences: freezing at ``gamma`` looks tempting there but is
     unsound, since keeping an event of length in (gamma, 2*gamma) pins two
     retained jumps closer than the binary minimum gap, and removing such an
-    event can be strictly optimal.
+    event can be strictly optimal.  One ``np.diff`` of the jump times gives all event lengths.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     threshold = _freeze_threshold(gamma, metric.matrix(f.states_used).tolist())
-    events = f.events()
-    frozen = [ev.length >= threshold - GAP_TOL for ev in events]
+    short = np.diff(np.array(f.jump_times)) < threshold - GAP_TOL
+    # Interior event i (1-based) is short[i - 1]; a run of them from i to j
+    # covers f.jumps[i - 1 : j + 1].
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], short, [False])))).tolist()
     subs = []
-    i = 1
-    while i < len(events) - 1:
-        if frozen[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(events) - 1 and not frozen[j + 1]:
-            j += 1
-        # Jump into events[i] is f.jumps[i-1]; jump out of events[j] is f.jumps[j].
-        sub_seq = StateSequence(events[i - 1].state, f.jumps[i - 1 : j + 1])
-        subs.append(Subproblem(sub_seq, i - 1, j))
-        i = j + 1
+    for a, b in zip(edges[0::2], edges[1::2]):
+        initial = f.jumps[a - 1][1] if a else f.initial_state
+        subs.append(Subproblem(StateSequence(initial, f.jumps[a : b + 1]), a, b))
     return tuple(subs)
 
 
+def _label_set(own: tuple[bool, ...], d: list[list[float]], labels) -> tuple:
+    """Rows, positions, states and largest distance of the labels kept for one set of own states:
+    those and each state c that no own state s dominates (d(s, x) <= d(c, x) for every own x).
+    """
+    mine = [x for x, is_own in enumerate(own) if is_own]
+    keep = [c for c, is_own in enumerate(own) if is_own or not any(all(d[o][x] <= d[c][x] for x in mine) for o in mine)]
+    index = {c: i for i, c in enumerate(keep)}
+    return np.array(keep), index, [labels[c] for c in keep], max(d[a][b] for a in keep for b in keep)
+
+
+def _length_classes(n: list[int]) -> list[list[int]]:
+    """Span indices by length, in runs that pad to their longest span without doubling their
+    jumps or, unless the run is one span, passing 4096 padded jumps (which bounds the temporaries)."""
+    runs: list[list[int]] = []
+    total = 0
+    for s in sorted(range(len(n)), key=n.__getitem__):
+        if runs and (len(runs[-1]) + 1) * n[s] <= min(4096, 2 * (total + n[s])):
+            runs[-1].append(s)
+            total += n[s]
+        else:
+            runs.append([s])
+            total = n[s]
+    return runs
+
+
+def _dot(coef: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Sum of coef[..., x] * vals[:, x] over the labels x, added up in label order."""
+    out = coef[..., 0, None] * vals[:, 0]
+    for x in range(1, vals.shape[1]):
+        out = out + coef[..., x, None] * vals[:, x]
+    return out
+
+
+def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateMetric) -> dict:
+    """Arc tables of the spans of ``n`` jumps from jump ``first`` on, one padded row each.
+
+    Each entry gets the bits a build of its span alone gives it: the occupancy
+    cumsum runs along each row, and label sums go through :func:`_dot`.
+    """
+    rows, size, label = np.arange(len(n)), int(n.max()), np.arange(len(dist))[:, None]
+    col = np.arange(size + 1)
+    sv = ev[first[:, None] + np.minimum(col, n[:, None])]  # f's states s_0..s_n, padded by s_n
+    t = times[first[:, None] + np.minimum(col[:-1], n[:, None] - 1)]  # padded by t_n: zero gaps
+    # Occupancy of each label within [t_1, t_i), column i = 1..n.
+    pref = np.zeros((len(n), len(dist), size + 1))
+    pref[:, :, 2:] = np.cumsum(np.where(sv[:, None, 1:-1] == label, np.diff(t)[:, None], 0.0), axis=2)
+
+    # Candidate jump vertices.  The second (second-to-last) jump can be
+    # dropped when the gap to its neighbour is at most gamma: a solution
+    # jumping there can shift that jump onto the neighbour at no extra
+    # cost under the discrete metric.  For wider gaps, keeping both
+    # boundary jumps of an event can be uniquely optimal.
+    k, tk, pref_k = n, t, pref[:, :, 1:]
+    if not binary and isinstance(metric, DiscreteMetric):
+        last = t[rows, n - 1] - t[rows, n - 2] <= gamma + GAP_TOL
+        second = (n > 2) & ((t[:, 1] - t[:, 0] <= gamma + GAP_TOL) | (n == 3) & last)
+        last &= n > 3  # with n == 3 the second-to-last jump is the second
+        j = col[:-1]  # the kept vertex j + 1 sits at column kcol[j]; 1 + keeps the sum integer
+        shift = 1 + second[:, None] * (j >= 1) + last[:, None] * (j >= (n - 2 - second)[:, None])
+        k, kcol = n - second - last, np.minimum(j + shift, size)
+        tk, pref_k = t[rows[:, None], kcol - 1], pref[rows[:, None, None], label, kcol[:, None]]
+    # Under the discrete metric 1 - d is the identity, and the sums are exact.
+    score = pref_k if isinstance(metric, DiscreteMetric) else np.stack([_dot(1.0 - d, pref_k) for d in dist], 1)
+    admit = enter = score
+    if binary:
+        after = sv[:, None, 1:] == label
+        admit, enter = np.where(after, score, INF), np.where(after, -INF, score)
+
+    # Arcs touching a sentinel carry its boundary state; the direct
+    # source-to-sink arc exists iff both boundary states agree, and weighs
+    # what the sink arc from vertex 1 (occupancy 0) does before masking.
+    c0, cn = sv[:, 0], sv[rows, n]
+    sink = _dot(dist[cn], pref[rows, :, n][:, :, None] - pref_k)
+    return dict(
+        own=(sv[:, None] == label).any(axis=2).tolist(), k=k.tolist(), c0=c0.tolist(), cn=cn.tolist(),
+        times=np.pad(np.where(col[1:] <= k[:, None], tk, INF), ((0, 0), (1, 1)), constant_values=(-INF, INF)),
+        enter=enter, admit=admit, w_sink=np.where(admit[rows, cn] < INF, sink, INF),
+        w_source=np.where(enter[rows, c0] > -INF, _dot(dist[c0], pref_k) + gamma, INF),
+        w_direct=np.where(c0 == cn, sink[:, 0], INF).tolist(),
+    )
+
+
+def _cores(f: StateSequence, spans, gamma: float, metric: StateMetric, binary: bool, labels=None):
+    """(span index, :class:`_Core`) for each jump span (first, last) of f, from one table build.
+
+    The sorted ``labels`` (default: f's states) are filtered by :func:`_label_set`
+    once per distinct set of own states.  :func:`_block` builds each run of
+    :func:`_length_classes` when its first core is asked for.
+    """
+    states = [f.initial_state] + [s for _, s in f.jumps]
+    labels = tuple(sorted(set(states))) if labels is None else labels
+    dist, sets = metric.matrix(labels), {}
+    first, last = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    n = last - first + 1
+    events = (np.array(f.jump_times), np.searchsorted(labels, states))  # jump times, label row of each event
+    for group in _length_classes(n.tolist()):
+        block = _block(*events, first[group], n[group], dist, gamma, binary, metric)
+        for r, (s, own) in enumerate(zip(group, map(tuple, block.pop("own")))):
+            if own not in sets:
+                sets[own] = _label_set(own, dist.tolist(), labels)
+            yield s, _Core(block, r, sets[own], gamma, binary)
+
+
 class _Core:
-    """Per-subproblem weight machinery shared by the solver and the graph.
+    """One subproblem's view of the weight tables, shared by the solver and the graph.
 
     Vertices are indexed 0 (source, -inf), 1..k (candidate jump times in
     order), k+1 (sink, +inf).  Every finite arc weight comes from one table,
@@ -122,99 +218,29 @@ class _Core:
     ``enter`` / ``admit`` are the table with -inf / +inf where label c may
     not end at j / start at k: in the binary graph c must be f's state right
     after k, and the jump at j must leave c.  ``column(j)`` returns the arc
-    weights from every earlier vertex into j; absent arcs are +inf.
-
-    Labels are the subproblem's own states plus each state of ``universe``
-    (the whole input's states and their distance-matrix rows, shared by
-    every subproblem of one projection) that no own state dominates: s
-    dominates c when d(s, x) <= d(c, x) for every own state x, so
-    relabelling c as s never costs more.  Without ``universe`` the labels
-    are the own states.
+    weights from every earlier vertex into j; absent arcs are +inf.  The
+    tables of a whole projection are built at once (:func:`_cores`); a core
+    slices its row and the rows of its labels (:func:`_label_set`) out of them.
     """
 
-    def __init__(
-        self,
-        f: StateSequence,
-        gamma: float,
-        metric: StateMetric,
-        binary: bool,
-        universe: tuple[tuple[int, ...], list[list[float]]] | None = None,
-    ):
-        n = f.n_jumps
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        if n < 2:
-            raise ValueError("graph construction needs at least 2 jumps")
-        own = f.states_used
-        if binary and len(own) != 2:
-            raise ValueError("binary graph requires a two-state sequence")
-        labels, rows = universe if universe is not None else (own, metric.matrix(own).tolist())
-        own_pos = [labels.index(s) for s in own]
-        keep = [
-            c
-            for c, s in enumerate(labels)
-            if s in own or not any(all(rows[o][x] <= rows[c][x] for x in own_pos) for o in own_pos)
-        ]
-        states = [labels[c] for c in keep]
-        dmat = np.array([[rows[a][b] for b in keep] for a in keep])
-        comp = {s: i for i, s in enumerate(states)}
-        m = len(states)
-
-        t = np.array(f.jump_times)
-        svec = np.array([comp[f.initial_state]] + [comp[s] for _, s in f.jumps])
-        internal = np.diff(t)
-        if internal.size and internal.max() > _freeze_threshold(gamma, rows) + GAP_TOL:
-            raise ValueError("internal gap exceeds the split threshold; split the sequence first")
-
-        # Occupancy of each state within [t_1, t_i), column i = 1..n.
-        pref = np.zeros((m, n + 1))
-        onehot = np.zeros((m, n - 1))
-        onehot[svec[1:n], np.arange(n - 1)] = internal
-        pref[:, 2:] = np.cumsum(onehot, axis=1)
-
-        # Candidate jump vertices.  The second (second-to-last) jump can be
-        # dropped when the gap to its neighbour is at most gamma: a solution
-        # jumping there can shift that jump onto the neighbour at no extra
-        # cost under the discrete metric.  For wider gaps, keeping both
-        # boundary jumps of an event can be uniquely optimal.
-        drop: set[int] = set()
-        if not binary and n > 2 and isinstance(metric, DiscreteMetric):
-            if t[1] - t[0] <= gamma + GAP_TOL:
-                drop.add(2)
-            if t[n - 1] - t[n - 2] <= gamma + GAP_TOL:
-                drop.add(n - 1)
-        kidx = np.array([i for i in range(1, n + 1) if i not in drop])
-        pref_k = pref[:, kidx]
-        # C order: column() reduces over states for a run of vertices.
-        score = (1.0 - dmat) @ pref_k
-        if binary:
-            after = np.arange(m)[:, None] == svec[kidx]
-            self.admit, self.enter = np.where(after, score, INF), np.where(after, -INF, score)
-        else:
-            self.admit = self.enter = score
-
-        self.gamma = gamma
-        self.binary = binary
-        self.states = states
-        self.ktimes = t[kidx - 1]
-        self.k = len(kidx)
-        self.c0 = c0 = int(svec[0])
-        self.cn = cn = int(svec[n])
-        self.min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
-        self.times = np.concatenate(([-INF], self.ktimes, [INF]))
-
-        # Arcs touching a sentinel carry its boundary state; the direct
-        # source-to-sink arc exists iff both boundary states agree.
-        self.w_source = np.where(self.enter[c0] > -INF, dmat[c0] @ pref_k + gamma, INF)
-        self.w_sink = np.where(self.admit[cn] < INF, dmat[cn] @ (pref[:, n, None] - pref_k), INF)
-        self.w_direct = float(dmat[c0] @ pref[:, n]) if c0 == cn else INF
+    def __init__(self, block: dict, r: int, label_set: tuple, gamma: float, binary: bool):
+        keep, index, self.states, d_max = label_set
+        self.k = k = block["k"][r]
+        self.gamma, self.binary, self.min_gap = gamma, binary, (2.0 * gamma if binary else gamma) - GAP_TOL
+        self.c0, self.cn = index[block["c0"][r]], index[block["cn"][r]]
+        self.times = block["times"][r, : k + 2]
+        self.ktimes = self.times[1:-1]
+        self.enter = block["enter"][r, keep, :k]
+        self.admit = block["admit"][r, keep, :k] if binary else self.enter
+        self.w_source, self.w_sink = block["w_source"][r, :k], block["w_sink"][r, :k]
+        self.w_direct = block["w_direct"][r]
 
         # Plain-float tables for solve_primary, and its bucket slack M.
-        self.time_list = self.ktimes.tolist()
+        self.time_list = t = self.ktimes.tolist()
         self.enter_rows = self.enter.tolist()
         self.admit_rows = self.admit.tolist() if binary else self.enter_rows
-        bound = 2 * max(-t[0], t[-1]) + 4 * (t[-1] - t[0]) * max(1.0, dmat.max()) + gamma * (self.k + 2)
-        self.slack = float(2 * COST_TOL * max(1.0, bound))
+        bound = 2 * max(-t[0], t[-1]) + 4 * (t[-1] - t[0]) * max(1.0, d_max) + gamma * (k + 2)
+        self.slack = 2 * COST_TOL * max(1.0, bound)
 
     @property
     def n_vertices(self) -> int:
@@ -239,7 +265,8 @@ class _Core:
             return self.states[self.c0]
         if b == self.k + 1:
             return self.states[self.cn]
-        return self.states[int((self.enter[:, b - 1] - self.admit[:, a - 1]).argmax())]
+        gain = [enter[b - 1] - admit[a - 1] for enter, admit in zip(self.enter_rows, self.admit_rows)]
+        return self.states[gain.index(max(gain))]
 
     def _weight_single(self, j: int, k: int) -> float:
         """Arc weight from finite vertex k into finite vertex j, bitwise as in :meth:`column`."""
@@ -322,11 +349,8 @@ class _Core:
         return parent, dist, ties
 
     def path_to_sequence(self, path: tuple[int, ...]) -> StateSequence:
-        initial = self.arc_state(path[0], path[1])
-        pairs = []
-        for a, b in zip(path[1:-1], path[2:]):
-            pairs.append((float(self.times[a]), self.arc_state(a, b)))
-        return StateSequence.from_pairs(initial, pairs)
+        pairs = [(self.time_list[a - 1], self.arc_state(a, b)) for a, b in zip(path[1:-1], path[2:])]
+        return StateSequence.from_pairs(self.arc_state(path[0], path[1]), pairs)
 
 
 @dataclass(frozen=True)
@@ -352,20 +376,13 @@ class ProjectionGraph:
     @property
     def arcs(self) -> tuple[tuple[float, float, float, int], ...]:
         """(from_time, to_time, weight, segment_state) for every arc."""
-        out = []
-        n = self.n_vertices
-        for k in range(n):
-            for l in range(k + 1, n):
-                if math.isfinite(self.weight[k, l]):
-                    out.append(
-                        (
-                            float(self.times[k]),
-                            float(self.times[l]),
-                            float(self.weight[k, l]),
-                            int(self.seg_state[k, l]),
-                        )
-                    )
-        return tuple(out)
+        n, t = self.n_vertices, self.times
+        return tuple(
+            (float(t[k]), float(t[l]), float(self.weight[k, l]), int(self.seg_state[k, l]))
+            for k in range(n)
+            for l in range(k + 1, n)
+            if math.isfinite(self.weight[k, l])
+        )
 
     def arc_weight(self, from_time: float, to_time: float) -> float:
         k = int(np.searchsorted(self.times, from_time))
@@ -373,7 +390,17 @@ class ProjectionGraph:
         return float(self.weight[k, l])
 
 
-def _materialize(core: _Core) -> ProjectionGraph:
+def _graph(f: StateSequence, gamma: float, metric: StateMetric, binary: bool) -> ProjectionGraph:
+    """The DAG of a caller-supplied sequence, taken whole as one subproblem."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if f.n_jumps < 2:
+        raise ValueError("graph construction needs at least 2 jumps")
+    if binary and len(f.states_used) != 2:
+        raise ValueError("binary graph requires a two-state sequence")
+    if np.diff(f.jump_times).max() > _freeze_threshold(gamma, metric.matrix(f.states_used).tolist()) + GAP_TOL:
+        raise ValueError("internal gap exceeds the split threshold; split the sequence first")
+    _, core = next(_cores(f, [(0, f.n_jumps - 1)], gamma, metric, binary))
     size = core.n_vertices
     weight = np.full((size, size), INF)
     seg_state = np.full((size, size), -1, dtype=int)
@@ -396,7 +423,7 @@ def build_graph(f: StateSequence, gamma: float, metric: StateMetric = DISCRETE) 
     forced to the corresponding boundary state (anything else would weigh
     infinity and is omitted).
     """
-    return _materialize(_Core(f, gamma, metric, binary=False))
+    return _graph(f, gamma, metric, binary=False)
 
 
 def build_graph_binary(f: StateSequence, gamma: float) -> ProjectionGraph:
@@ -407,7 +434,7 @@ def build_graph_binary(f: StateSequence, gamma: float) -> ProjectionGraph:
     the arc's start (for sentinel arcs this coincides with the forced
     boundary state).
     """
-    return _materialize(_Core(f, gamma, DISCRETE, binary=True))
+    return _graph(f, gamma, DISCRETE, binary=True)
 
 
 @dataclass(frozen=True)
@@ -588,23 +615,22 @@ def _project_with(solve, f, gamma, metric, binary, all_optimal) -> ProjectionRes
     if not subs:
         return ProjectionResult(f, 0.0, (), (f,) if all_optimal else None)
 
-    states = f.states_used
-    universe = (states, metric.matrix(states).tolist())
-    solved: list[StateSequence] = []
-    per_sub_optima: list[list[StateSequence]] = []
-    total = 0.0
-    for sub in subs:
-        core = _Core(sub.sequence, gamma, metric, binary, universe)
+    solved: list[StateSequence] = [f] * len(subs)
+    costs = [0.0] * len(subs)
+    per_sub_optima: list[list[StateSequence]] = [[] for _ in subs]
+    for s, core in _cores(f, [(sub.first_jump, sub.last_jump) for sub in subs], gamma, metric, binary):
         parent, dist, ties = solve(core)
-        path, cost = _path(parent, dist)
-        solved.append(core.path_to_sequence(path))
-        total += cost
+        path, costs[s] = _path(parent, dist)
+        solved[s] = core.path_to_sequence(path)
         if all_optimal:
             seen: dict[tuple, StateSequence] = {}
             for p in _optimal_paths(parent, ties, core.times):
                 seq = core.path_to_sequence(p)
                 seen.setdefault((seq.initial_state, seq.jumps), seq)
-            per_sub_optima.append(sorted(seen.values(), key=_seq_sort_key))
+            per_sub_optima[s] = sorted(seen.values(), key=_seq_sort_key)
+    total = 0.0
+    for cost in costs:  # in span order, whatever order the cores came in
+        total += cost
 
     projected = _reassemble(f, subs, solved)
     spans = tuple(sub.span for sub in subs)

@@ -126,7 +126,9 @@ class StateSequence:
             if s == prev_s:
                 raise ValueError(f"consecutive states must differ (state {s} at t={t})")
             prev_t, prev_s = t, s
-        object.__setattr__(self, "_times", tuple(t for t, _ in self.jumps))
+        # A list, not a generator: tuple() then allocates the exact size, so
+        # CPython's tuple free lists do not fill up between full collections.
+        object.__setattr__(self, "_times", tuple([t for t, _ in self.jumps]))
 
     @classmethod
     def from_pairs(cls, initial_state: int, pairs: Iterable[tuple[float, int]]) -> "StateSequence":
@@ -290,7 +292,7 @@ class Labels:
             if s == prev_s:
                 raise ValueError("consecutive states must differ")
             prev_t, prev_s = t, s
-        object.__setattr__(self, "_times", tuple(t for t, _ in self.jumps))
+        object.__setattr__(self, "_times", tuple([t for t, _ in self.jumps]))
 
     @classmethod
     def from_pairs(

@@ -36,8 +36,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.mu_correct > 0 and self.mu_incorrect > 0):
-            raise ValueError("spell means must be positive")
+        if not all(math.isfinite(mu) and mu > 0 for mu in (self.mu_correct, self.mu_incorrect)):
+            raise ValueError("spell means must be finite and positive")
 
 
 def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:

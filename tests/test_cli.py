@@ -267,6 +267,10 @@ class TestScoreCommand:
         (["score", "{worked}", "{worked}", "--measure", "lts", "--w", "inf"], 3),
         (["score", "{worked}", "{worked}", "--measure", "lts", "--lambda", "inf"], 3),
         (["simulate", "--w", "inf", "--reps", "1", "--out", "{out}"], 3),
+        (["simulate", "--mu1", "inf", "--reps", "1", "--out", "{out}"], 3),
+        (["simulate", "--mu2", "inf", "--reps", "1", "--out", "{out}"], 3),
+        (["simulate", "--zeta", "inf", "--reps", "1", "--out", "{out}"], 3),
+        (["score", "{worked}", "{worked}", "--measure", "lts", "--zeta", "inf"], 3),
     ],
     ids=[
         "project-gamma-nan",
@@ -281,6 +285,10 @@ class TestScoreCommand:
         "score-lts-w-inf",
         "score-lts-lambda-inf",
         "simulate-w-inf",
+        "simulate-mu1-inf",
+        "simulate-mu2-inf",
+        "simulate-zeta-inf",
+        "score-lts-zeta-inf",
     ],
 )
 def test_invalid_or_non_finite_parameters_exit_with_error(argv, code, worked_path, tmp_path, capsys):

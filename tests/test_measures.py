@@ -254,3 +254,11 @@ class TestParameterValidation:
     def test_duration_penalty_rejects_non_finite_or_negative_lambda(self, lam):
         with pytest.raises(ValueError):
             duration_penalty(StateSequence(1, ((1.0, 2), (1.3, 1))), lam, 0.5)
+
+    # An infinite zeta would count every gap as a violation.
+    @pytest.mark.parametrize("zeta", [math.nan, math.inf, 0.0])
+    def test_lts_and_duration_penalty_reject_non_finite_or_nonpositive_zeta(self, zeta):
+        with pytest.raises(ValueError):
+            LtsParams(w=0.6, sigma=0.35, lam=0.0001, zeta=zeta)
+        with pytest.raises(ValueError):
+            duration_penalty(StateSequence(1, ((1.0, 2), (1.3, 1))), 0.0001, zeta)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -5,17 +6,24 @@ import numpy as np
 import pytest
 
 from stateseq import (
+    DISCRETE,
+    Labels,
+    NoiseModel,
     StateSequence,
     TableMetric,
     build_graph,
     build_graph_binary,
     energy,
+    generate_noisy_labels,
     project,
+    project_labels,
     shortest_path,
     split_long_events,
 )
+from stateseq.cli import main
+from stateseq.io import format_labels
 from stateseq.oracle import brute_force_project, random_instance, reference_project
-from stateseq.projection import GAP_TOL, ProjectionGraph, _first_path
+from stateseq.projection import GAP_TOL, ProjectionGraph, Subproblem, _cores, _first_path, _freeze_threshold
 
 INF = math.inf
 
@@ -89,6 +97,137 @@ class TestSplitLongEvents:
         frozen = split_long_events(f, 0.14)
         assert len(frozen) == 1
         assert frozen[0].sequence == StateSequence(1, ((1.3, 0), (1.4, 1), (1.5, 0)))
+
+
+def _split_by_events(f, gamma, metric=DISCRETE):
+    """The event-by-event split, the reference for split_long_events."""
+    threshold = _freeze_threshold(gamma, metric.matrix(f.states_used).tolist())
+    events = f.events()
+    frozen = [ev.length >= threshold - GAP_TOL for ev in events]
+    subs = []
+    i = 1
+    while i < len(events) - 1:
+        if frozen[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(events) - 1 and not frozen[j + 1]:
+            j += 1
+        subs.append(Subproblem(StateSequence(events[i - 1].state, f.jumps[i - 1 : j + 1]), i - 1, j))
+        i = j + 1
+    return tuple(subs)
+
+
+class TestSplitMatchesEventLoop:
+    def _check(self, f, gamma, metric=DISCRETE):
+        assert split_long_events(f, gamma, metric) == _split_by_events(f, gamma, metric)
+
+    def test_random_and_grid_inputs(self):
+        rng = np.random.default_rng(70)
+        choices = [(DISCRETE, 2), (DISCRETE, 4), *TABLE_METRICS.values()]
+        for trial in range(400):
+            metric, n_states = choices[trial % len(choices)]
+            if trial % 2:
+                f, gamma = random_instance(rng, max_jumps=30, n_states=n_states)
+            else:
+                f, gamma = _grid_instance(rng, int(rng.integers(0, 40)), n_states), float(rng.choice([0.1, 0.2, 0.3]))
+            self._check(f, gamma, metric)
+
+    @pytest.mark.parametrize("name", [None, *sorted(TABLE_METRICS)])
+    def test_lengths_at_the_threshold_and_one_ulp_either_side(self, name):
+        metric = DISCRETE if name is None else TABLE_METRICS[name][0]
+        rng = np.random.default_rng(71)
+        for gamma in (0.1, 0.25, 0.3, 1.0 / 3.0):
+            at = _freeze_threshold(gamma, metric.matrix((1, 2, 3)).tolist()) - GAP_TOL
+            lengths = [np.nextafter(at, -INF), at, np.nextafter(at, INF), 0.01]
+            for _ in range(20):
+                # Sums of the lengths, so the event lengths land within an ulp or so of them.
+                times = np.concatenate(([0.0], np.cumsum(rng.choice(lengths, size=int(rng.integers(1, 12))))))
+                states = [1 + (i % 3) for i in range(len(times) + 1)]
+                self._check(StateSequence(states[0], tuple(zip(times.tolist(), states[1:]))), gamma, metric)
+            # A jump at 0 makes the interior event exactly ``length`` long.
+            for length in lengths[:3]:
+                f = StateSequence(1, ((0.0, 2), (float(length), 3)))
+                self._check(f, gamma, metric)
+                assert len(split_long_events(f, gamma, metric)) == (length < at)
+
+    def test_zero_one_and_two_jumps(self):
+        for f in (StateSequence(1), StateSequence(1, ((0.5, 2),)), StateSequence(1, ((0.5, 2), (0.6, 1)))):
+            for gamma in (0.05, 0.2):
+                self._check(f, gamma)
+        assert split_long_events(StateSequence(1, ((0.5, 2),)), 0.2) == ()
+
+
+def _mixed_layout(rng, n_short, long_jumps, n_states, offset):
+    """Hundreds of 2-6 jump stretches and one long one, between frozen 5 s events."""
+    times, t = [], offset
+    long_at = int(rng.integers(0, n_short))
+    for i in range(n_short):
+        size = long_jumps if i == long_at else int(rng.integers(2, 7))
+        t += 5.0
+        for gap in rng.uniform(0.05, 0.3, size=size).tolist():
+            t += gap
+            times.append(t)
+    states = [1]
+    for _ in times:
+        nxt = int(rng.integers(1, n_states))
+        states.append(nxt if nxt < states[-1] else nxt + 1)
+    return StateSequence(1, tuple(zip(times, states[1:])))
+
+
+class TestSharedTables:
+    # Every subproblem's view of the projection-wide tables must hold the bits
+    # of a build of its sequence alone, over the same labels.
+    CASES = {
+        "discrete": (DISCRETE, 4, False),
+        "binary": (DISCRETE, 2, True),
+        **{name: (metric, n, False) for name, (metric, n) in TABLE_METRICS.items()},
+    }
+
+    @staticmethod
+    def _assert_same(core, alone):
+        assert core.states == alone.states and (core.k, core.c0, core.cn) == (alone.k, alone.c0, alone.cn)
+        for name in ("ktimes", "times", "enter", "admit", "w_source", "w_sink"):
+            a, b = getattr(core, name), getattr(alone, name)
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        assert core.w_direct == alone.w_direct and core.slack == alone.slack
+        assert (core.time_list, core.enter_rows, core.admit_rows) == (alone.time_list, alone.enter_rows, alone.admit_rows)
+
+    def _check(self, f, gamma, metric, binary):
+        subs = split_long_events(f, gamma, metric)
+        cores = dict(_cores(f, [(sub.first_jump, sub.last_jump) for sub in subs], gamma, metric, binary))
+        assert sorted(cores) == list(range(len(subs)))
+        jumps = {}
+        for s, sub in enumerate(subs):
+            n, core = sub.sequence.n_jumps, cores[s]
+            _, alone = next(_cores(sub.sequence, [(0, n - 1)], gamma, metric, binary, f.states_used))
+            self._assert_same(core, alone)
+            jumps.setdefault(id(core.times.base), [core.times.base.shape, 0])[1] += n
+        # Padding at most doubles the jumps of each build.
+        for (rows, width), n in jumps.values():
+            assert rows * (width - 2) <= 2 * n
+        return subs
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_views_match_single_builds(self, case, offset):
+        metric, n_states, binary = self.CASES[case]
+        rng = np.random.default_rng(72)
+        for trial in range(40):
+            if trial % 2:
+                f, gamma = random_instance(rng, max_jumps=40, n_states=n_states)
+            else:
+                f, gamma = _grid_instance(rng, int(rng.integers(2, 60)), n_states), float(rng.choice([0.1, 0.2, 0.3]))
+            self._check(StateSequence(f.initial_state, tuple((t + offset, s) for t, s in f.jumps)), gamma, metric, binary)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_long_subproblem_among_hundreds_of_short_ones(self, case, offset):
+        metric, n_states, binary = self.CASES[case]
+        rng = np.random.default_rng(73)
+        f = _mixed_layout(rng, 200, 1000, n_states, offset)
+        subs = self._check(f, 0.3, metric, binary)
+        assert len(subs) == 200 and max(sub.sequence.n_jumps for sub in subs) == 1000
 
 
 class TestBuildGraph:
@@ -551,3 +690,26 @@ class TestTableMetricProjection:
         for _ in range(150):
             f, gamma = random_instance(rng, max_jumps=7, n_states=n_states)
             _assert_optimal(f, gamma, metric)
+
+
+class TestPinnedAnswers:
+    # Answers recorded from the per-subproblem table build; a changed answer
+    # fails here and not only in the benchmark.
+    def test_simulate_gamma_sweep_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["simulate", "--gamma", "0.1,0.5,2.0", "--reps", "5", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "84d36a6ffce460bc14630bea2176005483a874b2f3c0b6232d0c47695aa53597"
+        )
+
+    def test_hour_recording_projection(self):
+        # A jump every 10 s cycling 1 -> 2 -> 3, under fine noise (seed 1).
+        base = Labels(3600.0, 3, 1, tuple((10.0 * i, i % 3 + 1) for i in range(1, 360)))
+        noisy = generate_noisy_labels(base, NoiseModel(0.1, 0.08, seed=1))
+        projected, res = project_labels(noisy, 0.5)
+        assert len(noisy.jumps) == 40149 and res.n_subproblems == 2
+        assert res.cost == 1733.6194707499412
+        assert hashlib.sha256(format_labels(projected).encode()).hexdigest() == (
+            "60fd9a0fffeeca5c6ff65ca0c46a0df0bfde98b27ad4d727f63b6d744b854f20"
+        )

@@ -22,6 +22,14 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(0.1, -1.0)
 
+    @pytest.mark.parametrize("means", [(math.inf, 0.08), (0.1, math.inf), (math.nan, 0.08)])
+    def test_rejects_non_finite_means(self, means):
+        # An infinite correct spell would copy the base, an infinite wrong one hold a single state.
+        with pytest.raises(ValueError):
+            NoiseModel(*means)
+        with pytest.raises(ValueError):
+            SweepConfig(param="mu2", values=(means[1],), mu1=means[0], replications=1)
+
     def test_reproducible(self):
         base = default_base_labels()
         model = NoiseModel(0.1, 0.08, seed=123)
