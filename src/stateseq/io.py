@@ -128,6 +128,8 @@ def _parse_sampled(meta: dict[str, str], body: list[str]) -> Labels:
     except ValueError as exc:
         raise LabelFileError("sample rows must be integer state ids") from exc
     horizon = len(samples) / rate
+    if not math.isfinite(horizon):
+        raise LabelFileError(f"{len(samples)} samples at '# rate:' {rate} give an infinite horizon")
     count = _meta_value(meta, "states", int) if "states" in meta else max(max(samples), 2)
     if not (min(samples) >= 1 and max(samples) <= count):
         raise LabelFileError(f"sample state ids must lie in 1..{count}")

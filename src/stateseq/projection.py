@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -96,11 +97,7 @@ def split_long_events(f: StateSequence, gamma: float, metric: StateMetric = DISC
     # Interior event i (1-based) is short[i - 1]; a run of them from i to j
     # covers f.jumps[i - 1 : j + 1].
     edges = np.flatnonzero(np.diff(np.concatenate(([False], short, [False])))).tolist()
-    subs = []
-    for a, b in zip(edges[0::2], edges[1::2]):
-        initial = f.jumps[a - 1][1] if a else f.initial_state
-        subs.append(Subproblem(StateSequence(initial, f.jumps[a : b + 1]), a, b))
-    return tuple(subs)
+    return tuple(Subproblem(f._slice(a, b + 1), a, b) for a, b in zip(edges[0::2], edges[1::2]))
 
 
 def _label_set(own: tuple[bool, ...], d: list[list[float]], labels) -> tuple:
@@ -283,9 +280,10 @@ class _Core:
         enter, and entries go once the minimum falls by more than M.  Column
         j's candidates are the source arc and the bucket entries within M of
         lo, the least of them; each is costed bitwise as in the reference
-        column, via :meth:`_weight_single`, and the winner is picked as in
-        :func:`_relax`, which also settles the sink.  The candidates tied
-        with the least cost are recorded where there are several.
+        column, via :meth:`_weight_single`.  A lone candidate settles j at
+        once, with no tie to record.  Between several, the winner is picked
+        as in :func:`_relax`, which also settles the sink, and the candidates
+        tied with the least cost are recorded where there are several.
 
         M = 2 COST_TOL max(1, B) with B = 2 max|t| + 4 span max(1, d_max) +
         gamma (vertices) suffices: B bounds every intermediate on both sides (a
@@ -297,35 +295,37 @@ class _Core:
         part within 2 u B more of best[c]: k is in c's bucket and a candidate.
         COST_TOL = 1e-12 exceeds that rounding, 23 u, over 300-fold.
         """
-        kk, gamma, slack = self.k, self.gamma, self.slack
+        kk, gamma, slack, min_gap = self.k, self.gamma, self.slack, self.min_gap
         dist, parent, njumps = _dp_tables(kk + 2)
         ktimes, enter, admit = self.time_list, self.enter_rows, self.admit_rows
-        w_source = self.w_source.tolist()
         labels = range(len(enter))
         best, floor = [INF] * len(enter), [INF] * len(enter)  # floor: best at the last pruning
         buckets: list[list[tuple[float, int]]] = [[] for _ in labels]
         ties: dict[int, list[int]] = {}
-        admitted = 0
+        i = 0  # ktimes index of the next vertex to admit, vertex i + 1
 
-        for j in range(1, kk + 1):
-            tj = ktimes[j - 1]
-            while admitted < kk and ktimes[admitted] <= tj - self.min_gap:
-                admitted += 1
-                d = dist[admitted] - ktimes[admitted - 1]
-                for c in labels:
-                    v = d + admit[c][admitted - 1]
+        for j, (tj, src) in enumerate(zip(ktimes, self.w_source.tolist()), 1):
+            lim = tj - min_gap
+            while i < kk and ktimes[i] <= lim:
+                k = i + 1
+                d = dist[k] - ktimes[i]
+                for c, row in enumerate(admit):
+                    v = d + row[i]
                     if v < INF and v <= best[c] + slack:
                         if v < best[c]:
                             best[c] = v
                             if v < floor[c] - slack:
                                 floor[c] = v
                                 buckets[c] = [e for e in buckets[c] if e[0] <= v + slack]
-                        buckets[c].append((v, admitted))
+                        buckets[c].append((v, k))
+                i = k
 
-            g, src = gamma + tj, w_source[j - 1]
+            g = gamma + tj
             terms = [g - row[j - 1] for row in enter]
-            tops = [b + e for b, e in zip(best, terms)]
-            lo = min(src, min(tops))
+            tops = list(map(add, best, terms))
+            lo = min(tops)
+            if src < lo:
+                lo = src
             if lo == INF:
                 continue
             cut = lo + slack
@@ -334,6 +334,10 @@ class _Core:
                 if tops[c] <= cut:
                     e = terms[c]
                     cands += [k for v, k in buckets[c] if v + e <= cut]
+            if len(cands) == 1:
+                k = cands[0]
+                dist[j], parent[j], njumps[j] = dist[k] + (self._weight_single(j, k) if k else src), k, njumps[k] + 1
+                continue
             cost = {k: dist[k] + (src if k == 0 else self._weight_single(j, k)) for k in cands}
             if len(cost) == 1:
                 (k,) = cost

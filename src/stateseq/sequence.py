@@ -165,6 +165,13 @@ class StateSequence:
             raise ValueError("need at least one event")
         return cls.from_pairs(events[0].state, [(e.start, e.state) for e in events[1:]])
 
+    def _slice(self, a: int, b: int) -> "StateSequence":
+        """Jumps a..b-1 after the state they follow; a slice of a valid sequence skips the checks."""
+        out = object.__new__(StateSequence)
+        initial = self.jumps[a - 1][1] if a else self.initial_state
+        out.__dict__.update(initial_state=initial, jumps=self.jumps[a:b], _times=self._times[a:b])  # type: ignore[attr-defined]
+        return out
+
     @property
     def jump_times(self) -> tuple[float, ...]:
         return self._times  # type: ignore[attr-defined]

@@ -71,6 +71,8 @@ class TestLabelFiles:
             parse_labels("# format: sampled\n# rate: 500\nstate\n")
         with pytest.raises(LabelFileError):
             parse_labels("# format: sampled\n# rate: 500\n# states: x\nstate\n1\n2\n")
+        with pytest.raises(LabelFileError, match="infinite horizon"):
+            parse_labels("# format: sampled\n# rate: 1e-320\nstate\n1\n2\n")
 
     @pytest.mark.parametrize(
         "text",
@@ -188,6 +190,13 @@ class TestProjectCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("garbage\n")
         assert main(["project", str(bad), "--gamma", "0.2", "--out", str(tmp_path / "o")]) == 2
+
+    def test_sampled_file_with_infinite_horizon_exits_2(self, tmp_path):
+        # 2 samples at 1e-320 Hz span an infinite horizon, which no label file can carry.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# format: sampled\n# rate: 1e-320\nstate\n1\n2\n")
+        assert main(["project", str(bad), "--gamma", "0.2", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_negative_gamma_exits_3(self, worked_path, tmp_path):
         assert (

@@ -23,7 +23,7 @@ from stateseq import (
 from stateseq.cli import main
 from stateseq.io import format_labels
 from stateseq.oracle import brute_force_project, random_instance, reference_project
-from stateseq.projection import GAP_TOL, ProjectionGraph, Subproblem, _cores, _first_path, _freeze_threshold
+from stateseq.projection import GAP_TOL, ProjectionGraph, Subproblem, _cores, _dp, _first_path, _freeze_threshold
 
 INF = math.inf
 
@@ -76,6 +76,7 @@ class TestSplitLongEvents:
         assert len(subs) == 1
         assert subs[0].sequence == WORKED
         assert (subs[0].first_jump, subs[0].last_jump) == (0, 4)
+        assert _split_parts(subs) == [(WORKED.jump_times, (0.2, 0.75))]
 
     def test_all_long_gives_no_subproblems(self):
         base = StateSequence(1, ((5.0, 2), (15.0, 3), (30.0, 2), (40.0, 3), (55.0, 1)))
@@ -87,6 +88,7 @@ class TestSplitLongEvents:
         assert len(subs) == 2
         assert subs[0].sequence == StateSequence(0, ((0.0, 1), (0.3, 2)))
         assert subs[1].sequence == StateSequence(2, ((10.0, 3), (10.2, 0)))
+        assert _split_parts(subs) == [((0.0, 0.3), (0.0, 0.3)), ((10.0, 10.2), (10.0, 10.2))]
 
     def test_binary_threshold_matches_general(self):
         # Freezing two-state events already at gamma would pin retained jumps
@@ -118,9 +120,16 @@ def _split_by_events(f, gamma, metric=DISCRETE):
     return tuple(subs)
 
 
+def _split_parts(subs):
+    """What ``==`` on subproblems leaves out: each sequence's stored jump times and the span."""
+    return [(sub.sequence.jump_times, sub.span) for sub in subs]
+
+
 class TestSplitMatchesEventLoop:
     def _check(self, f, gamma, metric=DISCRETE):
-        assert split_long_events(f, gamma, metric) == _split_by_events(f, gamma, metric)
+        got, want = split_long_events(f, gamma, metric), _split_by_events(f, gamma, metric)
+        assert got == want
+        assert _split_parts(got) == _split_parts(want)
 
     def test_random_and_grid_inputs(self):
         rng = np.random.default_rng(70)
@@ -228,6 +237,31 @@ class TestSharedTables:
         f = _mixed_layout(rng, 200, 1000, n_states, offset)
         subs = self._check(f, 0.3, metric, binary)
         assert len(subs) == 200 and max(sub.sequence.n_jumps for sub in subs) == 1000
+
+
+class TestSolverTables:
+    # Vertex by vertex, the running-minima sweep must return the tables of
+    # the per-column DP over the same core: every parent, the bits of every
+    # distance and each column's tied predecessors.
+    @staticmethod
+    def _tables(parent, dist, ties):
+        return parent, [x.hex() for x in dist], sorted((j, sorted(tied)) for j, tied in ties.items())
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("case", sorted(TestSharedTables.CASES))
+    def test_sweep_matches_per_column_dp(self, case, offset):
+        metric, n_states, binary = TestSharedTables.CASES[case]
+        rng = np.random.default_rng(74)
+        for trial in range(100):
+            if trial % 2:
+                f, gamma = random_instance(rng, max_jumps=30, n_states=n_states)
+            else:
+                f, gamma = _grid_instance(rng, int(rng.integers(2, 80)), n_states), float(rng.choice([0.1, 0.2, 0.3]))
+            f = StateSequence(f.initial_state, tuple((t + offset, s) for t, s in f.jumps))
+            spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
+            for _, core in _cores(f, spans, gamma, metric, binary):
+                want = self._tables(*_dp(core.n_vertices, core.column))
+                assert self._tables(*core.solve_primary()) == want, (trial, core.k)
 
 
 class TestBuildGraph:
