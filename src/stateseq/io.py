@@ -28,11 +28,14 @@ from __future__ import annotations
 
 import io as _io
 import math
+from bisect import bisect_right
+from itertools import compress, repeat
+from operator import contains, not_
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
 
-from .sequence import TIME_MERGE_TOL, Labels
+from .sequence import TIME_MERGE_TOL, Labels, StateSequence
 
 if TYPE_CHECKING:
     from .simulate import SweepRow
@@ -43,18 +46,19 @@ class LabelFileError(ValueError):
 
 
 def _read_metadata(lines: list[str]) -> tuple[dict[str, str], list[str]]:
+    """The ``# key: value`` lines as a dict (a later key wins) and the other non-blank lines, stripped."""
+    lines = list(filter(None, map(str.strip, lines)))
+    head = next((k for k, line in enumerate(lines) if line[0] != "#"), len(lines))
+    marked, body = lines[:head], lines[head:]
+    if "#" in "".join(body):  # '#' lines among the rows
+        is_meta = list(map(str.startswith, body, repeat("#")))
+        marked += compress(body, is_meta)
+        body = list(compress(body, map(not_, is_meta)))
     meta: dict[str, str] = {}
-    body = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if ":" in stripped:
-                key, _, value = stripped[1:].partition(":")
-                meta[key.strip()] = value.strip()
-        else:
-            body.append(stripped)
+    for line in marked:
+        if ":" in line:
+            key, _, value = line[1:].partition(":")
+            meta[key.strip()] = value.strip()
     return meta, body
 
 
@@ -84,36 +88,80 @@ def _meta_value(meta: dict[str, str], key: str, conv, positive: bool = True):
 
 
 def _parse_jumps(meta: dict[str, str], body: list[str]) -> Labels:
+    """The jump-list form, each rule checked on all rows at once.
+
+    The error names the first row that breaks a rule, and the first rule it
+    breaks, in this order: one comma, a ``float`` time and an ``int`` state,
+    time in [0, horizon), times sorted, state in 1..states.  The
+    ``# initial:`` state is checked after the rows.
+    """
     horizon = _meta_value(meta, "horizon", float)
     n_states = _meta_value(meta, "states", int)
     initial = _meta_value(meta, "initial", int, positive=False)
     rows = body
     if rows and rows[0].replace(" ", "") == "time,state":
         rows = rows[1:]
-    pairs = []
-    prev_t = -math.inf
-    for row in rows:
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise LabelFileError(f"expected 'time,state', got {row!r}")
-        try:
-            t, s = float(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise LabelFileError(f"bad row {row!r}") from exc
-        if not 0.0 <= t < horizon:
-            raise LabelFileError(f"jump time {t} outside [0, horizon)")
-        if t < prev_t:
+    # Split the rows up to the first one without exactly one comma.  Every row
+    # has one when each has at least one and there are as many as rows.
+    n_split = len(rows)
+    fields = ",".join(rows).split(",") if rows else []
+    if len(fields) != 2 * n_split or not all(map(contains, rows, repeat(","))):
+        n_split = next(k for k, row in enumerate(rows) if row.count(",") != 1)
+        fields = ",".join(rows[:n_split]).split(",") if n_split else []
+    # Convert them up to the first field float or int rejects.
+    times = _convert_prefix(float, fields[0::2])
+    states = _convert_prefix(int, fields[1::2], cached=True)
+    n_read = min(len(times), len(states))
+    del times[n_read:], states[n_read:]
+    t = np.array(times, dtype=float)
+    out_of_range = ~((t >= 0.0) & (t < horizon))
+    unsorted = np.concatenate(([False], t[1:] < t[:-1]))
+    bad = np.flatnonzero(out_of_range | unsorted)
+    first = int(bad[0]) if bad.size else n_read
+    if states and not (1 <= min(states) and max(states) <= n_states):
+        first = min(first, next(k for k, s in enumerate(states) if not 1 <= s <= n_states))
+    if first < n_read:
+        if out_of_range[first]:
+            raise LabelFileError(f"jump time {times[first]} outside [0, horizon)")
+        if unsorted[first]:
             raise LabelFileError("jump rows must be time-sorted")
-        if not 1 <= s <= n_states:
-            raise LabelFileError(f"state id {s} outside 1..{n_states}")
-        prev_t = t
-        pairs.append((t, s))
+        raise LabelFileError(f"state id {states[first]} outside 1..{n_states}")
+    if n_read < n_split:
+        raise LabelFileError(f"bad row {rows[n_read]!r}")
+    if n_split < len(rows):
+        raise LabelFileError(f"expected 'time,state', got {rows[n_split]!r}")
     if not 1 <= initial <= n_states:
         raise LabelFileError(f"initial state {initial} outside 1..{n_states}")
+    # Rows at time 0, a prefix of the sorted rows, override '# initial:'.
+    at_zero = bisect_right(times, 0.0)
+    if at_zero:
+        initial = states[at_zero - 1]
     try:
-        return Labels.from_pairs(horizon, n_states, initial, pairs)
+        seq = StateSequence._from_columns(initial, times[at_zero:], states[at_zero:])
+        return Labels._within(horizon, n_states, seq)
     except ValueError as exc:
         raise LabelFileError(str(exc)) from exc
+
+
+def _convert_prefix(conv, texts: list[str], cached: bool = False) -> list:
+    """``conv`` of each text, up to the first one it rejects.
+
+    ``cached`` converts each distinct text once, which pays when few texts
+    repeat often, as state ids do.
+    """
+    if cached:
+        try:
+            values = {text: conv(text) for text in set(texts)}
+        except ValueError:
+            pass
+        else:
+            return list(map(values.__getitem__, texts))
+    out: list = []
+    try:
+        out.extend(map(conv, texts))  # keeps what was converted before an error
+    except ValueError:
+        pass
+    return out
 
 
 def _parse_sampled(meta: dict[str, str], body: list[str]) -> Labels:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, starmap
+from operator import eq, itemgetter, ne, sub
 
 import numpy as np
 
@@ -194,22 +196,15 @@ def lts_distance(
     if metric.d(f.final_state, g.final_state) > 0.0:
         return INF
     seg = segments(f, g)
-    n_seg = len(seg.pairs)
+    b, pairs = seg.breakpoints, seg.pairs
+    agree = list(starmap(eq, pairs))
     total = 0.0
     # seg.pairs[0] is (-inf, a1); finite segments are indices 1 .. n_seg-2.
-    for i in range(1, n_seg - 1):
-        sf, sg = seg.pairs[i]
-        d = metric.d(sf, sg)
+    for i, d in enumerate(starmap(metric.d, pairs[1:-1]), 1):
         if d == 0.0:
             continue
-        length = seg.breakpoints[i] - seg.breakpoints[i - 1]
-        prev_f, prev_g = seg.pairs[i - 1]
-        nxt_f, nxt_g = seg.pairs[i + 1]
-        delta = (
-            params.w
-            if length <= params.sigma and prev_f == prev_g and nxt_f == nxt_g
-            else 1.0
-        )
+        length = b[i] - b[i - 1]
+        delta = params.w if length <= params.sigma and agree[i - 1] and agree[i + 1] else 1.0
         total += delta * length * d
     return total
 
@@ -233,10 +228,13 @@ def extend(labels: Labels, fill_state: int = FILL_STATE) -> StateSequence:
 
     Both compared sequences get the same fill outside [0, horizon), so the
     introduced segments never disagree and the LTS distance is independent
-    of the chosen state.
+    of the chosen state.  The sequence is :meth:`StateSequence.from_pairs`
+    of the pairs (0, start state), the jumps and (horizon, fill state),
+    except that the jumps keep the time and state objects of ``labels``.
     """
-    pairs = [(0.0, labels.start_state)] + list(labels.jumps) + [(labels.horizon, fill_state)]
-    return StateSequence.from_pairs(fill_state, pairs)
+    times = [0.0, *labels._times, float(labels.horizon)]  # type: ignore[attr-defined]
+    states = [int(labels.start_state), *map(itemgetter(1), labels.jumps), int(fill_state)]
+    return StateSequence._from_columns(fill_state, times, states)
 
 
 def _check_same_horizon(f: Labels, g: Labels) -> None:
@@ -263,9 +261,8 @@ def accuracy(truth: Labels, estimate: Labels) -> float:
     """Fraction of [0, horizon) on which the two label sets agree."""
     _check_same_horizon(truth, estimate)
     seg = segments(extend(truth), extend(estimate))
+    b = seg.breakpoints
     mismatch = 0.0
-    for i in range(1, len(seg.pairs) - 1):
-        sf, sg = seg.pairs[i]
-        if sf != sg:
-            mismatch += seg.breakpoints[i] - seg.breakpoints[i - 1]
+    for length in compress(map(sub, b[1:], b), starmap(ne, seg.pairs[1:-1])):
+        mismatch += length
     return 1.0 - mismatch / truth.horizon

@@ -10,8 +10,10 @@ distance between two sequences.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress, repeat, starmap
+from operator import eq, gt, itemgetter, le, lt, ne, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +23,16 @@ INF = math.inf
 # Jumps closer together than this are merged on construction via from_pairs;
 # keeps file round-trips (9 decimal digits) from creating zero-length events.
 TIME_MERGE_TOL = 1e-9
+
+# Below these many jumps, from_pairs takes its time gaps and segments its
+# joint breakpoints with Python's builtins, which then cost less than numpy's
+# fixed cost per call.
+_NUMPY_GAPS_FROM = 256
+_NUMPY_SEGMENTS_FROM = 48
+
+# A merge tolerance under which only equal times merge: a gap below the
+# smallest positive float is zero.
+_EQUAL_ONLY = math.ulp(0.0)
 
 # Tolerance for comparing costs/energies that are mathematically equal but
 # accumulated in different float orders.
@@ -105,6 +117,15 @@ class Event:
         return self.end - self.start
 
 
+def _unchecked(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` (``_times`` among them) as
+    they are, without the checks of its constructor: only for jumps that are
+    valid by construction."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
+    return out
+
+
 @dataclass(frozen=True)
 class StateSequence:
     """A cadlag step function: ``initial_state`` on (-inf, t1), then jumps.
@@ -138,25 +159,52 @@ class StateSequence:
         collapse onto the earlier time (the later state wins), and adjacent
         equal states merge silently.  Times must be non-decreasing.
         """
-        cleaned: list[tuple[float, int]] = []
-        prev_t = -INF
-        for t, s in pairs:
-            t = float(t)
-            s = int(s)
-            if t < prev_t:
-                raise ValueError(f"jump times must be sorted, got {t} after {prev_t}")
-            if cleaned and t - cleaned[-1][0] < TIME_MERGE_TOL:
-                cleaned[-1] = (cleaned[-1][0], s)
-            else:
-                cleaned.append((t, s))
-            prev_t = t
-        merged: list[tuple[float, int]] = []
-        state = initial_state
-        for t, s in cleaned:
-            if s != state:
-                merged.append((t, s))
-                state = s
-        return cls(initial_state, tuple(merged))
+        pairs = list(pairs)
+        return cls._from_columns(initial_state, [float(t) for t, _ in pairs], [int(s) for _, s in pairs])
+
+    @classmethod
+    def _from_columns(
+        cls, initial_state: int, times: list[float], states: list, tol: float = TIME_MERGE_TOL
+    ) -> "StateSequence":
+        """:meth:`from_pairs` of the pairs (times[k], states[k]), merging gaps below ``tol``.
+
+        Takes the lists over.  Only gaps that are not >= tol (short, negative
+        or NaN) need a second look: a jump after a gap >= tol never merges,
+        since it lies at least that far from the head of the chain before it.
+        """
+        if len(times) < _NUMPY_GAPS_FROM:
+            close = [k for k, gap in enumerate(map(sub, times[1:], times), 1) if not gap >= tol]
+        else:
+            close = (np.flatnonzero(~(np.diff(times) >= tol)) + 1).tolist()
+        if close:
+            for k in close:
+                if times[k] < times[k - 1]:
+                    raise ValueError(f"jump times must be sorted, got {times[k]} after {times[k - 1]}")
+            # Sequential merge onto the head of each chain, over the close jumps only.
+            keep = [True] * len(times)
+            head = last = 0
+            for k in close:
+                if k - 1 != last:
+                    head = k - 1
+                if times[k] - times[head] < tol:
+                    keep[k] = False
+                    states[head] = states[k]
+                else:
+                    head = k
+                last = k
+            times = list(compress(times, keep))
+            states = list(compress(states, keep))
+        if states and (states[0] == initial_state or any(map(eq, states[1:], states))):
+            changed = list(map(ne, states, chain((initial_state,), states)))
+            times = list(compress(times, changed))
+            states = list(compress(states, changed))
+        # tuple() of a list allocates the exact size; of a zip it grows the
+        # tuple step by step, which costs far more garbage collection.
+        jumps = tuple(list(zip(times, states)))
+        # Without close gaps the times are sorted and free of NaN, so the ends bound them.
+        if all(map(math.isfinite, times)) if close else not times or -INF < times[0] and times[-1] < INF:
+            return _unchecked(cls, initial_state=initial_state, jumps=jumps, _times=tuple(times))
+        return cls(initial_state, jumps)  # raises for the first NaN or infinite time
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "StateSequence":
@@ -167,10 +215,9 @@ class StateSequence:
 
     def _slice(self, a: int, b: int) -> "StateSequence":
         """Jumps a..b-1 after the state they follow; a slice of a valid sequence skips the checks."""
-        out = object.__new__(StateSequence)
         initial = self.jumps[a - 1][1] if a else self.initial_state
-        out.__dict__.update(initial_state=initial, jumps=self.jumps[a:b], _times=self._times[a:b])  # type: ignore[attr-defined]
-        return out
+        jumps, times = self.jumps[a:b], self._times[a:b]  # type: ignore[attr-defined]
+        return _unchecked(StateSequence, initial_state=initial, jumps=jumps, _times=times)
 
     @property
     def jump_times(self) -> tuple[float, ...]:
@@ -208,7 +255,11 @@ class StateSequence:
         """The sequence t -> self(t - eps), i.e. moved right by eps."""
         if eps == 0.0:
             return self
-        return StateSequence(self.initial_state, tuple((t + eps, s) for t, s in self.jumps))
+        # Rounding can make two shifted times equal; like from_pairs, the
+        # later state wins, but only exactly equal times merge.
+        times = [t + eps for t in self._times]  # type: ignore[attr-defined]
+        states = list(map(itemgetter(1), self.jumps))
+        return StateSequence._from_columns(self.initial_state, times, states, tol=_EQUAL_ONLY)
 
 
 @dataclass(frozen=True)
@@ -232,24 +283,24 @@ class Segmentation:
 def segments(f: StateSequence, g: StateSequence) -> Segmentation:
     """Smallest partition of the line on which neither f nor g changes."""
     ft, gt = f.jump_times, g.jump_times
-    breaks: list[float] = []
-    pairs = [(f.initial_state, g.initial_state)]
-    sf, sg = f.initial_state, g.initial_state
-    i = j = 0
-    while i < len(ft) or j < len(gt):
-        if j >= len(gt) or (i < len(ft) and ft[i] <= gt[j]):
-            t = ft[i]
-        else:
-            t = gt[j]
-        if i < len(ft) and ft[i] == t:
-            sf = f.jumps[i][1]
-            i += 1
-        if j < len(gt) and gt[j] == t:
-            sg = g.jumps[j][1]
-            j += 1
-        breaks.append(t)
-        pairs.append((sf, sg))
-    return Segmentation(tuple(breaks), tuple(pairs))
+    # Entry k of a state list is the state after the first k jumps.
+    f_states = (f.initial_state, *map(itemgetter(1), f.jumps))
+    g_states = (g.initial_state, *map(itemgetter(1), g.jumps))
+    if len(ft) + len(gt) < _NUMPY_SEGMENTS_FROM:
+        breaks = sorted({*ft, *gt})
+        f_at = map(f_states.__getitem__, map(bisect_right, repeat(ft), breaks))
+        g_at = map(g_states.__getitem__, map(bisect_right, repeat(gt), breaks))
+    else:
+        f_times, g_times = np.array(ft, dtype=float), np.array(gt, dtype=float)
+        # The sorted union, as np.union1d has it; that one's first call
+        # imports numpy.ma, which adds over 1 MiB to the peak memory.
+        both = np.sort(np.concatenate((f_times, g_times)))
+        union = both[np.concatenate(([True], both[1:] != both[:-1]))]
+        # Object arrays hand back the very state ids.
+        f_at = np.array(f_states, dtype=object)[np.searchsorted(f_times, union, side="right")].tolist()
+        g_at = np.array(g_states, dtype=object)[np.searchsorted(g_times, union, side="right")].tolist()
+        breaks = union.tolist()
+    return Segmentation(tuple(breaks), ((f.initial_state, g.initial_state), *zip(f_at, g_at)))
 
 
 def standard_distance(f: StateSequence, g: StateSequence, metric: StateMetric = DISCRETE) -> float:
@@ -263,11 +314,11 @@ def standard_distance(f: StateSequence, g: StateSequence, metric: StateMetric = 
     if metric.d(f.final_state, g.final_state) > 0.0:
         return INF
     seg = segments(f, g)
+    b, inner = seg.breakpoints, seg.pairs[1:-1]
     total = 0.0
-    for i in range(1, len(seg.pairs) - 1):
-        sf, sg = seg.pairs[i]
-        if sf != sg:
-            total += (seg.breakpoints[i] - seg.breakpoints[i - 1]) * metric.d(sf, sg)
+    # The i-th finite segment spans b[i-1] .. b[i]; terms add in segment order.
+    for length, (sf, sg) in compress(zip(map(sub, b[1:], b), inner), starmap(ne, inner)):
+        total += length * metric.d(sf, sg)
     return total
 
 
@@ -288,10 +339,7 @@ class Labels:
     jumps: tuple[tuple[float, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
-        if self.n_states < 2:
-            raise ValueError("need at least 2 states")
+        _check_scalars(self.horizon, self.n_states)
         prev_t, prev_s = 0.0, self.start_state
         for t, s in self.jumps:
             if not (prev_t < t < self.horizon):
@@ -306,15 +354,23 @@ class Labels:
         cls, horizon: float, n_states: int, start_state: int, pairs: Iterable[tuple[float, int]]
     ) -> "Labels":
         """Normalizing constructor; a pair at time 0 overrides start_state."""
-        seq_pairs = []
+        pairs = list(pairs)
+        times = [t for t, _ in pairs]
+        early = list(map(le, times, repeat(0.0)))
+        inside = list(map(lt, times, repeat(horizon)))
         start = start_state
-        for t, s in pairs:
-            if t <= 0.0:
-                start = int(s)
-            elif t < horizon:
-                seq_pairs.append((t, s))
-        seq = StateSequence.from_pairs(start, seq_pairs)
-        return cls(horizon, n_states, seq.initial_state, seq.jumps)
+        if True in early:
+            start = int(pairs[len(early) - 1 - early[::-1].index(True)][1])
+        if True in early or False in inside:
+            pairs = list(compress(pairs, map(gt, inside, early)))  # inside and not early
+        return cls._within(horizon, n_states, StateSequence.from_pairs(start, pairs))
+
+    @classmethod
+    def _within(cls, horizon: float, n_states: int, seq: StateSequence) -> "Labels":
+        """Labels with the start and jumps of ``seq``, whose jumps lie in (0, horizon); checks only the scalars."""
+        _check_scalars(horizon, n_states)
+        scalars = {"horizon": horizon, "n_states": n_states, "start_state": seq.initial_state}
+        return _unchecked(cls, **scalars, jumps=seq.jumps, _times=seq.jump_times)
 
     def state_at(self, t: float) -> int:
         i = bisect_right(self._times, t)  # type: ignore[attr-defined]
@@ -326,10 +382,20 @@ class Labels:
         The first and last events are extended to -inf/+inf, so projection
         treats the recording edges as frozen anchors.
         """
-        return StateSequence(self.start_state, self.jumps)
+        times = self._times  # type: ignore[attr-defined]
+        return _unchecked(StateSequence, initial_state=self.start_state, jumps=self.jumps, _times=times)
 
     @classmethod
     def from_anchored(cls, seq: StateSequence, horizon: float, n_states: int) -> "Labels":
-        jumps = tuple((t, s) for t, s in seq.jumps if 0.0 < t < horizon)
-        start = seq.state_at(0.0)
-        return cls(horizon, n_states, start, jumps)
+        times = seq.jump_times
+        first = bisect_right(times, 0.0)
+        return cls._within(horizon, n_states, seq._slice(first, bisect_left(times, horizon, first)))
+
+
+def _check_scalars(horizon: float, n_states: int) -> None:
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+    if horizon == INF:
+        raise ValueError("horizon must be finite")
+    if n_states < 2:
+        raise ValueError("need at least 2 states")

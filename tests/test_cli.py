@@ -8,13 +8,13 @@ from stateseq.cli import main
 from stateseq.io import (
     LabelFileError,
     _meta_value,
-    _read_metadata,
     format_labels,
     parse_labels,
     read_labels,
     write_labels,
 )
 from stateseq.sequence import Labels
+from stateseq.simulate import NoiseModel, generate_noisy_labels
 
 WORKED_FILE = """\
 # format: jumps
@@ -118,9 +118,129 @@ class TestLabelFiles:
         assert samples.size == 100_000 and len(labels.jumps) > 300
 
 
+def _jump_file(body, header="# format: jumps\n# horizon: 10\n# states: 3\n# initial: 1\ntime,state\n"):
+    return header + body
+
+
+def _hour_recording_file():
+    """The seed-1 one-hour recording under fine noise, about 40k jump rows."""
+    base = Labels(3600.0, 3, 1, tuple((10.0 * i, i % 3 + 1) for i in range(1, 360)))
+    return format_labels(generate_noisy_labels(base, NoiseModel(0.1, 0.08, seed=1)))
+
+
+# Enough rows for the reader's numpy route.
+LONG_ROWS = "".join(f"{0.03 * k:.9f},{1 + k % 3}\n" for k in range(1, 300))
+
+JUMP_FILES = {
+    "worked": WORKED_FILE,
+    "three-fields": _jump_file("1.0,2\n2.0,3,1\n"),
+    "empty-state": _jump_file("1.0,2\n2.0,\n"),
+    "no-comma": _jump_file("1.0,2\n2.0\n"),
+    "no-comma-then-two": _jump_file("1\n2,3,1\n"),
+    "time-nan": _jump_file("1.0,2\nnan,3\n"),
+    "time-inf": _jump_file("1.0,2\ninf,3\n"),
+    "time-negative": _jump_file("-1,2\n"),
+    "time-at-horizon": _jump_file("1.0,2\n10.0,3\n"),
+    "time-past-horizon": _jump_file("11.0,2\n"),
+    "equal-times": _jump_file("1.0,2\n1.0,3\n4.0,1\n"),
+    "unsorted-times": _jump_file("1.0,2\n3.0,3\n2.0,1\n"),
+    "state-zero": _jump_file("1.0,0\n"),
+    "state-above-count": _jump_file("1.0,2\n2.0,4\n"),
+    "state-2**65": _jump_file(f"1.0,{2**65}\n"),
+    "state-ids-beyond-int64": _jump_file(
+        f"1.0,{2**65}\n2.0,{2**63}\n", f"# format: jumps\n# horizon: 10\n# states: {2**66}\n# initial: 1\n"
+    ),
+    "row-at-zero-overrides-initial": _jump_file("0.0,3\n0,2\n5.0,1\n"),
+    "chain-0.6e-9-apart": _jump_file("1.0,2\n1.0000000006,3\n1.0000000012,1\n1.0000000018,2\n"),
+    "spaced-header": _jump_file(
+        "1.0,2\n", "# format: jumps\n#horizon:10\n  # states : 3\n# initial: 1\n time , state \n"
+    ),
+    "comments-and-blanks-in-body": _jump_file("1.0,2\n\n# note: here\n  \n 2.0 , 3 \n# initial: 2\n3.0,1\n"),
+    "state-row-after-out-of-range-row": _jump_file("11.0,2\nx,3\n"),
+    "out-of-range-row-after-bad-row": _jump_file("1.0,x\n11.0,2\n"),
+    "bad-state-and-time-in-one-row": _jump_file("-1.0,7\n"),
+    "initial-out-of-range": _jump_file("1.0,2\n", "# format: jumps\n# horizon: 10\n# states: 3\n# initial: 4\n"),
+    "bad-row-before-bad-initial": _jump_file("1.0,9\n", "# format: jumps\n# horizon: 10\n# states: 3\n# initial: 4\n"),
+    "one-state": _jump_file("1.0,1\n", "# format: jumps\n# horizon: 10\n# states: 1\n# initial: 1\n"),
+    "no-rows": _jump_file(""),
+    "long": _jump_file(LONG_ROWS),
+    "long-unsorted-late": _jump_file(LONG_ROWS + "0.5,1\n"),
+    "long-bad-state-late": _jump_file(LONG_ROWS.replace("6.000000000,3", "6.000000000,5")),
+    "long-time-nan-late": _jump_file(LONG_ROWS + "nan,1\n"),
+    "long-with-chain-and-repeats": _jump_file(LONG_ROWS + "9.1,1\n9.1000000004,2\n9.1000000008,3\n9.2,3\n9.3,3\n"),
+    "long-three-fields-late": _jump_file(LONG_ROWS + "9.5,1,2\n"),
+}
+
+
+class TestJumpFileReader:
+    """The bulk jump-list reader against the per-row reference."""
+
+    @pytest.mark.parametrize("text", list(JUMP_FILES.values()), ids=list(JUMP_FILES))
+    def test_matches_per_row_route(self, text):
+        assert _outcome(parse_labels, text) == _outcome(_per_row_labels, text)
+
+    def test_matches_per_row_route_on_hour_recording(self):
+        text = _hour_recording_file()
+        labels = parse_labels(text)
+        assert labels == _per_row_labels(text)
+        assert len(labels.jumps) == 40149
+        assert labels._times == tuple(t for t, _ in labels.jumps)
+
+
+def _per_line_metadata(text):
+    """``# key: value`` lines and the other non-blank lines, read one line at a time."""
+    meta = {}
+    body = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if ":" in stripped:
+                key, _, value = stripped[1:].partition(":")
+                meta[key.strip()] = value.strip()
+        else:
+            body.append(stripped)
+    return meta, body
+
+
+def _per_row_labels(text):
+    """The jump-list form read and checked one row at a time."""
+    meta, rows = _per_line_metadata(text)
+    horizon = _meta_value(meta, "horizon", float)
+    n_states = _meta_value(meta, "states", int)
+    initial = _meta_value(meta, "initial", int, positive=False)
+    if rows and rows[0].replace(" ", "") == "time,state":
+        rows = rows[1:]
+    pairs = []
+    prev_t = -math.inf
+    for row in rows:
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise LabelFileError(f"expected 'time,state', got {row!r}")
+        try:
+            t, s = float(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise LabelFileError(f"bad row {row!r}") from exc
+        if not 0.0 <= t < horizon:
+            raise LabelFileError(f"jump time {t} outside [0, horizon)")
+        if t < prev_t:
+            raise LabelFileError("jump rows must be time-sorted")
+        if not 1 <= s <= n_states:
+            raise LabelFileError(f"state id {s} outside 1..{n_states}")
+        prev_t = t
+        pairs.append((t, s))
+    if not 1 <= initial <= n_states:
+        raise LabelFileError(f"initial state {initial} outside 1..{n_states}")
+    try:
+        return Labels.from_pairs(horizon, n_states, initial, pairs)
+    except ValueError as exc:
+        raise LabelFileError(str(exc)) from exc
+
+
 def _per_sample_labels(text):
     """The sampled form read with one (time, state) pair per sample."""
-    meta, rows = _read_metadata(text.splitlines())
+    meta, rows = _per_line_metadata(text)
     rate = _meta_value(meta, "rate", float)
     if rows and rows[0] == "state":
         rows = rows[1:]

@@ -122,6 +122,18 @@ class TestReferenceGts:
                 value = gts_distance(f, g, params, metric)
                 assert value == reference_gts(f, g, params, metric)
 
+    def test_shift_that_rounds_two_jumps_together(self):
+        # Below 2**24 floats lie 2**-29 apart, above it 2**-28: shifted by 0.3
+        # or 0.35, f's first two jumps round to one time.  The later state wins.
+        t2 = math.nextafter(2.0**24, 0.0)
+        t1 = math.nextafter(t2, 0.0)
+        f = StateSequence(1, ((t1, 2), (t2, 3), (2.0**24 + 1.0, 1)))
+        g = StateSequence(1, ((2.0**24 + 0.3, 3), (2.0**24 + 1.3, 1)))
+        assert t1 + 0.35 == t2 + 0.35
+        assert f.shifted(0.35).jumps == ((t1 + 0.35, 3), (2.0**24 + 1.35, 1))
+        params = GtsParams(0.6, 0.35)
+        assert gts_distance(f, g, params) == reference_gts(f, g, params)
+
     @pytest.mark.parametrize("metric", [DISCRETE, GTS_TABLE], ids=["discrete", "table"])
     def test_equals_reference_on_long_sequences(self, metric):
         rng = np.random.default_rng(42)

@@ -7,11 +7,16 @@ from hypothesis import given, strategies as st
 from stateseq import (
     DISCRETE,
     Labels,
+    LtsParams,
+    Segmentation,
     StateSequence,
     TableMetric,
+    accuracy,
+    lts_distance,
     segments,
     standard_distance,
 )
+from stateseq.sequence import TIME_MERGE_TOL
 
 INF = math.inf
 
@@ -190,6 +195,15 @@ class TestLabels:
         with pytest.raises(ValueError):
             Labels(10.0, 3, 1, ((10.0, 2),))
 
+    def test_rejects_infinite_horizon(self):
+        # format_labels would write '# horizon: inf', which parse_labels rejects.
+        with pytest.raises(ValueError, match="finite"):
+            Labels(INF, 3, 1, ((1.0, 2),))
+        with pytest.raises(ValueError, match="finite"):
+            Labels.from_pairs(INF, 3, 1, [(1.0, 2)])
+        with pytest.raises(ValueError, match="positive"):
+            Labels.from_pairs(math.nan, 3, 1, [(1.0, 2)])
+
     def test_anchored_round_trip(self):
         labels = Labels(10.0, 3, 1, ((4.0, 3), (7.0, 2)))
         seq = labels.to_anchored()
@@ -199,3 +213,192 @@ class TestLabels:
     def test_metric_default_is_discrete(self):
         assert DISCRETE.d(1, 1) == 0.0
         assert DISCRETE.d(1, 2) == 1.0
+
+
+# -- the bulk normalisation and segmentation against per-item references -----
+
+LTS = LtsParams(0.6, 0.35)
+TABLE = TableMetric([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+SIZES = (0, 1, 2, 3, 5, 10, 23, 24, 25, 200, 255, 256, 300)
+
+
+def _per_pair_from_pairs(initial_state, pairs):
+    """StateSequence.from_pairs one pair at a time."""
+    cleaned = []
+    prev_t = -INF
+    for t, s in pairs:
+        t = float(t)
+        s = int(s)
+        if t < prev_t:
+            raise ValueError(f"jump times must be sorted, got {t} after {prev_t}")
+        if cleaned and t - cleaned[-1][0] < TIME_MERGE_TOL:
+            cleaned[-1] = (cleaned[-1][0], s)
+        else:
+            cleaned.append((t, s))
+        prev_t = t
+    merged = []
+    state = initial_state
+    for t, s in cleaned:
+        if s != state:
+            merged.append((t, s))
+            state = s
+    return StateSequence(initial_state, tuple(merged))
+
+
+def _per_pair_labels(horizon, n_states, start_state, pairs):
+    """Labels.from_pairs one pair at a time."""
+    seq_pairs = []
+    start = start_state
+    for t, s in pairs:
+        if t <= 0.0:
+            start = int(s)
+        elif t < horizon:
+            seq_pairs.append((t, s))
+    seq = _per_pair_from_pairs(start, seq_pairs)
+    return Labels(horizon, n_states, seq.initial_state, seq.jumps)
+
+
+def _merged_segments(f, g):
+    """segments() by a two-pointer merge of the jump times."""
+    ft, gt = f.jump_times, g.jump_times
+    breaks = []
+    pairs = [(f.initial_state, g.initial_state)]
+    sf, sg = f.initial_state, g.initial_state
+    i = j = 0
+    while i < len(ft) or j < len(gt):
+        if j >= len(gt) or (i < len(ft) and ft[i] <= gt[j]):
+            t = ft[i]
+        else:
+            t = gt[j]
+        if i < len(ft) and ft[i] == t:
+            sf = f.jumps[i][1]
+            i += 1
+        if j < len(gt) and gt[j] == t:
+            sg = g.jumps[j][1]
+            j += 1
+        breaks.append(t)
+        pairs.append((sf, sg))
+    return Segmentation(tuple(breaks), tuple(pairs))
+
+
+def _per_segment_standard_distance(f, g, metric):
+    if metric.d(f.initial_state, g.initial_state) > 0.0 or metric.d(f.final_state, g.final_state) > 0.0:
+        return INF
+    seg = _merged_segments(f, g)
+    total = 0.0
+    for i in range(1, len(seg.pairs) - 1):
+        sf, sg = seg.pairs[i]
+        if sf != sg:
+            total += (seg.breakpoints[i] - seg.breakpoints[i - 1]) * metric.d(sf, sg)
+    return total
+
+
+def _per_segment_lts_distance(f, g, params, metric):
+    if metric.d(f.initial_state, g.initial_state) > 0.0 or metric.d(f.final_state, g.final_state) > 0.0:
+        return INF
+    seg = _merged_segments(f, g)
+    total = 0.0
+    for i in range(1, len(seg.pairs) - 1):
+        sf, sg = seg.pairs[i]
+        d = metric.d(sf, sg)
+        if d == 0.0:
+            continue
+        length = seg.breakpoints[i] - seg.breakpoints[i - 1]
+        prev_f, prev_g = seg.pairs[i - 1]
+        nxt_f, nxt_g = seg.pairs[i + 1]
+        flanked = length <= params.sigma and prev_f == prev_g and nxt_f == nxt_g
+        total += (params.w if flanked else 1.0) * length * d
+    return total
+
+
+def _per_segment_accuracy(truth, estimate):
+    def extended(labels):
+        pairs = [(0.0, labels.start_state), *labels.jumps, (labels.horizon, 1)]
+        return _per_pair_from_pairs(1, pairs)
+
+    seg = _merged_segments(extended(truth), extended(estimate))
+    mismatch = 0.0
+    for i in range(1, len(seg.pairs) - 1):
+        sf, sg = seg.pairs[i]
+        if sf != sg:
+            mismatch += seg.breakpoints[i] - seg.breakpoints[i - 1]
+    return 1.0 - mismatch / truth.horizon
+
+
+def _messy_pairs(rng, n, t0=0.0):
+    """Sorted (time, state) pairs with sub-tolerance chains, repeated states and numpy scalars."""
+    gaps = rng.choice([0.0, 3e-10, 6e-10, 1e-9, 1.1e-9, 0.01, 0.3, 1.0], size=n)
+    times = (t0 + rng.uniform(0.0, 1.0) + np.cumsum(gaps)).tolist()
+    pairs = []
+    for t, s in zip(times, rng.integers(1, 4, size=n).tolist()):
+        kind = rng.random()
+        pairs.append((np.float64(t), s) if kind < 0.1 else (t, np.int64(s)) if kind < 0.2 else (t, s))
+    return pairs
+
+
+def _spoiled(rng, pairs):
+    """The pairs with two times swapped or one time made non-finite."""
+    pairs = list(pairs)
+    if len(pairs) >= 2 and rng.random() < 0.5:
+        i = int(rng.integers(0, len(pairs) - 1))
+        (a, s), (b, r) = pairs[i], pairs[i + 1]
+        pairs[i], pairs[i + 1] = (b + 1.0, s), (a, r)
+    elif pairs:
+        i = int(rng.integers(0, len(pairs)))
+        pairs[i] = (float(rng.choice([math.nan, INF, -INF])), pairs[i][1])
+    return pairs
+
+
+def _result(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    types = [(type(t), type(s)) for t, s in out.jumps]
+    initial = getattr(out, "initial_state", getattr(out, "start_state", None))
+    return out, out._times, types, type(initial)
+
+
+def test_from_pairs_matches_per_pair_route():
+    rng = np.random.default_rng(20)
+    errors = 0
+    for trial in range(800):
+        pairs = _messy_pairs(rng, int(rng.choice(SIZES)))
+        if trial % 3 == 2:
+            pairs = _spoiled(rng, pairs)
+        initial = int(rng.integers(1, 4))
+        if trial % 5 == 0:
+            initial = np.int64(initial)
+        got = _result(StateSequence.from_pairs, initial, pairs)
+        assert got == _result(_per_pair_from_pairs, initial, pairs)
+        errors += got[0] == "error"
+        # Labels also drop or fold in pairs outside (0, horizon).
+        horizon = float(rng.uniform(0.5, 30.0))
+        shifted = [(t - 1.0, s) for t, s in pairs]
+        assert _result(Labels.from_pairs, horizon, 3, 1, shifted) == _result(_per_pair_labels, horizon, 3, 1, shifted)
+    assert 100 < errors < 400
+
+
+def test_segments_and_measures_match_per_segment_route():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        f_pairs = _messy_pairs(rng, int(rng.choice(SIZES)))
+        g_pairs = _messy_pairs(rng, int(rng.choice(SIZES)))
+        if f_pairs and rng.random() < 0.5:  # some jump times shared with f
+            shared = [(t, int(rng.integers(1, 4))) for t, _ in f_pairs if rng.random() < 0.5]
+            g_pairs = sorted(g_pairs + shared, key=lambda p: p[0])
+        f = StateSequence.from_pairs(1, f_pairs)
+        # Same boundary states, so that the distances are finite.
+        end = max([float(t) for t, _ in f_pairs + g_pairs], default=0.0) + 1.0
+        g = StateSequence.from_pairs(1, [*g_pairs, (end, f.final_state)])
+        assert segments(f, g) == _merged_segments(f, g)
+        assert segments(g, f) == _merged_segments(g, f)
+        for metric in (DISCRETE, TABLE):
+            got = standard_distance(f, g, metric).hex()
+            assert got == _per_segment_standard_distance(f, g, metric).hex()
+            got = lts_distance(f, g, LTS, metric).hex()
+            assert got == _per_segment_lts_distance(f, g, LTS, metric).hex()
+        horizon = end + 0.5
+        truth = Labels.from_pairs(horizon, 3, 1, f_pairs)
+        estimate = Labels.from_pairs(horizon, 3, 2, g_pairs)
+        assert accuracy(truth, estimate).hex() == _per_segment_accuracy(truth, estimate).hex()
