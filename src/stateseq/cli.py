@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 check failed, 2 malformed file, 3 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_PARAMS)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; each parse starts from a fresh namespace."""
     parser = _Parser(prog="stateseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -109,6 +112,8 @@ def _cmd_project(args) -> int:
         "jumps_before": len(labels.jumps),
         "jumps_after": len(projected.jumps),
         "n_subproblems": result.n_subproblems,
+        "candidates": result.candidates,
+        "candidates_kept": result.candidates_kept,
         "subproblem_spans": [list(span) for span in result.subproblem_spans],
     }
     if result.optima is not None:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stateseq
 from stateseq.cli import main
 from stateseq.io import (
     LabelFileError,
@@ -287,6 +292,14 @@ class TestProjectCommand:
         assert report["jumps_after"] == 1
         assert report["n_subproblems"] == 1
 
+    def test_report_counts_candidate_vertices(self, worked_path, tmp_path):
+        # Vertices 0.2, 0.4 and 0.75; only 0.4 can lie on an optimal path,
+        # whose Potts bound 0.55 is the optimum.
+        out = tmp_path / "out.csv"
+        assert main(["project", str(worked_path), "--gamma", "0.2", "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "out.csv.report.json").read_text())
+        assert (report["candidates"], report["candidates_kept"]) == (3, 1)
+
     def test_gamma_zero_identity(self, worked_path, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["project", str(worked_path), "--gamma", "0", "--out", str(out)]) == 0
@@ -524,6 +537,49 @@ def test_two_state_demo_pipeline(tmp_path, capsys):
         return float(capsys.readouterr().out.strip())
 
     assert score(pp_path) > score(noisy_path)
+
+
+def test_successive_in_process_calls_match_fresh_processes(worked_path, tmp_path, capsys):
+    # main() parses with one parser per process; no flag or default of one
+    # call may carry over into the next.
+    estimate = tmp_path / "estimate.csv"
+    estimate.write_text(WORKED_FILE.replace("0.400000000,3", "0.420000000,3"))
+    calls = [
+        ["project", str(worked_path), "--gamma", "0.2", "--all-optimal", "--out", "{dir}/a.csv"],
+        ["score", str(worked_path), str(estimate), "--measure", "lts", "--w", "0.3", "--sigma", "0.1"],
+        ["score", str(worked_path), str(estimate), "--measure", "lts"],
+        ["project", str(worked_path), "--gamma", "0.1", "--out", "{dir}/b.csv"],
+        ["score", str(worked_path), str(estimate), "--measure", "gts"],
+        ["score", str(worked_path), str(estimate), "--measure", "median"],
+        ["score", str(worked_path), str(estimate), "--measure", "accuracy"],
+    ]
+
+    def outcomes(run, directory):
+        directory.mkdir()
+        results = [run([arg.format(dir=directory) for arg in argv]) for argv in calls]
+        files = {path.name: path.read_text() for path in sorted(directory.iterdir())}
+        return results, files
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    env = {**os.environ, "PYTHONPATH": str(Path(stateseq.__file__).parents[1])}
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, "-m", "stateseq.cli", *argv], capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    here, there = outcomes(in_process, tmp_path / "here"), outcomes(fresh, tmp_path / "there")
+    assert here == there
+    results, files = here
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 0, 3, 0]
+    assert results[1][1] != results[2][1]  # --w and --sigma of the first score do not stick
+    assert "optima" in files["a.csv.report.json"] and "optima" not in files["b.csv.report.json"]
 
 
 class TestOracleCheckCommand:

@@ -21,9 +21,20 @@ from stateseq import (
     split_long_events,
 )
 from stateseq.cli import main
+from stateseq import projection
 from stateseq.io import format_labels
-from stateseq.oracle import brute_force_project, random_instance, reference_project
-from stateseq.projection import GAP_TOL, ProjectionGraph, Subproblem, _cores, _dp, _first_path, _freeze_threshold
+from stateseq.oracle import _reference_tables, brute_force_project, random_instance, reference_project
+from stateseq.projection import (
+    GAP_TOL,
+    ProjectionGraph,
+    Subproblem,
+    _cores,
+    _dp,
+    _first_path,
+    _freeze_threshold,
+    _path,
+    _project_with,
+)
 
 INF = math.inf
 
@@ -240,12 +251,38 @@ class TestSharedTables:
 
 
 class TestSolverTables:
-    # Vertex by vertex, the running-minima sweep must return the tables of
-    # the per-column DP over the same core: every parent, the bits of every
-    # distance and each column's tied predecessors.
+    # Vertex by vertex, the running-minima sweep with nothing pruned must
+    # return the tables of the per-column DP over the same core: every
+    # parent, the bits of every distance and each column's tied predecessors.
+    # Pruned, it must keep those of every vertex on an optimal path.
     @staticmethod
     def _tables(parent, dist, ties):
         return parent, [x.hex() for x in dist], sorted((j, sorted(tied)) for j, tied in ties.items())
+
+    @staticmethod
+    def _optimal_vertices(parent, ties):
+        """The vertices the optimal-path walk from the sink visits."""
+        seen, stack = set(), [len(parent) - 1]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(ties.get(v, (parent[v],)) if v else ())
+        return seen
+
+    def _check_pruned(self, core, pruned, full):
+        (parent, dist, ties), (want_parent, want_dist, want_ties) = pruned, full
+        kept = set(core.kept)
+        for v in range(1, core.k + 1):
+            if v not in kept:
+                assert (dist[v], parent[v], v in ties) == (INF, -1, False)
+        on_paths = self._optimal_vertices(want_parent, want_ties)
+        assert on_paths <= kept | {0, core.k + 1}
+        for v in on_paths:
+            assert (parent[v], dist[v].hex(), sorted(ties.get(v, []))) == (
+                want_parent[v], want_dist[v].hex(), sorted(want_ties.get(v, []))
+            )
+        assert _path(parent, dist) == _path(want_parent, want_dist)
 
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("case", sorted(TestSharedTables.CASES))
@@ -260,8 +297,122 @@ class TestSolverTables:
             f = StateSequence(f.initial_state, tuple((t + offset, s) for t, s in f.jumps))
             spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
             for _, core in _cores(f, spans, gamma, metric, binary):
-                want = self._tables(*_dp(core.n_vertices, core.column))
+                full = _dp(core.n_vertices, core.column)
+                want = self._tables(*full)
+                self._check_pruned(core, core.solve_primary(), full)
+                core.kept = list(range(1, core.k + 1))  # the same sweep with nothing pruned
                 assert self._tables(*core.solve_primary()) == want, (trial, core.k)
+
+
+def _noisy_recording(n_states, seed, horizon=270.0):
+    """About 11 jumps a second: a state change every 10 s under fine noise."""
+    base = Labels(horizon, n_states, 1, tuple((10.0 * i, i % n_states + 1) for i in range(1, int(horizon / 10))))
+    return generate_noisy_labels(base, NoiseModel(0.1, 0.08, seed=seed)).to_anchored()
+
+
+def _reference_primary(f, gamma, metric=DISCRETE, binary=False):
+    """reference_project's cost and primary, without enumerating the optima."""
+    return _project_with(_reference_tables, f, gamma, metric, binary, False)
+
+
+class TestPottsBound:
+    # The sweep settles only the candidate vertices whose Potts lower bound
+    # lies within the margin of the Potts optimum; the answer must be the
+    # unpruned reference's, bit for bit.
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 2.0])
+    def test_noisy_recording_matches_reference_with_few_vertices_kept(self, gamma):
+        f = _noisy_recording(3, seed=1)
+        fast, slow = project(f, gamma), _reference_primary(f, gamma)
+        assert 2900 < f.n_jumps < 3200
+        assert fast.cost == slow.cost
+        assert fast.projected == slow.projected
+        # At gamma 0.1 most subproblems have under ten candidates, and the
+        # optimal path itself holds about a tenth of them.
+        assert fast.candidates_kept < (0.15 if gamma == 0.1 else 0.1) * fast.candidates
+        assert fast.candidates > 2500
+
+    def test_skew3_and_binary_prune(self):
+        for f, metric, binary in [
+            (_noisy_recording(3, seed=2), TABLE_METRICS["skew3"][0], False),
+            (_noisy_recording(2, seed=3), DISCRETE, True),
+        ]:
+            fast, slow = project(f, 0.5, metric, binary=binary), _reference_primary(f, 0.5, metric, binary)
+            assert fast.cost == slow.cost
+            assert fast.projected == slow.projected
+            assert fast.candidates_kept < 0.1 * fast.candidates
+
+    @pytest.mark.parametrize("name", ["line", "star"])
+    def test_distances_above_one_prune_nothing(self, name):
+        # Distances up to 2 let the duration constraint bind, so the Potts
+        # optimum is only a lower bound and no vertex may be dropped.
+        metric, n_states = TABLE_METRICS[name]
+        res = project(_noisy_recording(3, seed=4, horizon=60.0), 0.5, metric)
+        assert res.candidates_kept == res.candidates > 0
+        rng = np.random.default_rng(75)
+        for _ in range(50):
+            f, gamma = random_instance(rng, max_jumps=30, n_states=n_states)
+            res = project(f, gamma, metric)
+            assert res.candidates_kept == res.candidates
+
+    def test_chunked_scan_matches_step_by_step_recurrence(self):
+        rng = np.random.default_rng(77)
+        for rows, k, labels in [(3, 1, 2), (2, 5, 3), (4, 17, 3), (1, 1000, 4), (5, 99, 2), (2, 4, 1)]:
+            cost = np.where(rng.uniform(size=(rows, k, labels)) < 0.3, 0.0, rng.uniform(0.0, 2.0, (rows, k, labels)))
+            start = np.where(rng.uniform(size=(rows, labels)) < 0.5, 0.0, INF)
+            start[:, 0] = 0.0
+            want = [start]
+            for i in range(k):
+                x = want[-1]
+                want.append(np.minimum(x, x.min(axis=1, keepdims=True) + 0.37) + cost[:, i])
+            x = want[-1]
+            want = np.stack(want, axis=1).min(axis=2), np.minimum(x, x.min(axis=1, keepdims=True) + 0.37)
+            for got, expected in zip(projection._potts_scan(start, cost, 0.37), want):
+                finite = np.isfinite(expected)
+                assert got.shape == expected.shape and np.array_equal(np.isfinite(got), finite)
+                # Sums of at most 2k + 1 nonnegative terms, added in another order.
+                tol = (2 * k + 2) * np.finfo(float).eps * np.maximum(1.0, expected[finite])
+                assert np.all(np.abs(got[finite] - expected[finite]) <= tol)
+
+    @pytest.mark.parametrize("case", sorted(TestSharedTables.CASES))
+    def test_bound_holds_at_every_vertex(self, case):
+        # lb bounds every path through its vertex from below, and the Potts
+        # optimum is the optimal cost whenever every distance is at most 1.
+        metric, n_states, binary = TestSharedTables.CASES[case]
+        rng = np.random.default_rng(76)
+        for trial in range(60):
+            f, gamma = random_instance(rng, max_jumps=30, n_states=n_states)
+            proven = metric.matrix(f.states_used).max() <= 1
+            spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
+            for _, core in _cores(f, spans, gamma, metric, binary):
+                size = core.n_vertices
+                weight = np.full((size, size), INF)
+                for j in range(1, size):
+                    weight[:j, j] = core.column(j)
+                _, dist, _ = _dp(size, core.column)
+                rest = np.zeros(size)  # cheapest completion from each vertex to the sink
+                for v in range(size - 2, -1, -1):
+                    rest[v] = np.min(weight[v, v + 1 :] + rest[v + 1 :])
+                through = np.array(dist) + rest
+                assert np.all(core.lb <= through[1:-1] + 1e-9 * np.maximum(1.0, np.abs(through[1:-1]))), trial
+                assert (core.potts < INF) == proven
+                if proven:
+                    assert abs(core.potts - dist[-1]) <= 1e-9 * max(1.0, dist[-1]), trial
+
+    def test_cost_above_the_bound_raises(self, monkeypatch):
+        # A Potts optimum gamma too low prunes the optimal path's vertices;
+        # the solver must refuse rather than return a worse path.
+        build = projection._block
+
+        def lowered(times, ev, first, n, dist, gamma, *rest):
+            block = build(times, ev, first, n, dist, gamma, *rest)
+            block["potts"] = [u - gamma for u in block["potts"]]
+            return block
+
+        f = _noisy_recording(3, seed=1, horizon=60.0)
+        assert project(f, 0.5).candidates_kept > 0
+        monkeypatch.setattr(projection, "_block", lowered)
+        with pytest.raises(RuntimeError, match="Potts bound"):
+            project(f, 0.5)
 
 
 class TestBuildGraph:
