@@ -232,6 +232,9 @@ def _cmd_oracle_check(args) -> int:
     if args.max_jumps > 10:
         print("error: oracle is limited to 10 jumps", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    if args.seed < 0:
+        print("error: seed must be nonnegative", file=sys.stderr)
+        return EXIT_BAD_PARAMS
 
     rng = np.random.default_rng(args.seed)
     for i in range(args.instances):

@@ -167,7 +167,7 @@ def reference_project(
     primary must equal the fast solver's bit for bit, and its ``optima``
     tuple must equal the one enumerated from the solver's tie record.
     """
-    return _project_with(_reference_tables, f, gamma, metric, binary, True)
+    return _project_with(_reference_tables, [f], gamma, metric, binary, True)[0]
 
 
 def reference_gts(

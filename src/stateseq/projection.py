@@ -21,6 +21,14 @@ vertices whose bound lies within a derived rounding margin of it.  On a
 one-hour fine-noise recording (40,149 jumps) that keeps 419 of 40,145
 candidate vertices at gamma 0.5, 329 at gamma 2.0 and 3,936 of 34,737 at
 gamma 0.1; the answer is the unpruned solver's, bit for bit.
+
+One pass serves many inputs (:func:`project_many`; :func:`project` is the
+pass over one): the subproblems of all inputs over the same states share
+their table builds, as padded rows in runs of similar length, and each input
+gets the answer a pass over it alone gives.  A subproblem whose bound keeps
+at most one vertex is settled in bulk from its direct and one-jump paths,
+without the sweep; on 60 s fine-noise study draws at gamma 0.1 that is about
+three in four of them.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
-from typing import Callable
+from operator import add, itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,13 +128,18 @@ def _label_set(own: tuple[bool, ...], d: list[list[float]], labels) -> tuple:
     return np.array(keep), index, [labels[c] for c in keep], max(d[a][b] for a in keep for b in keep)
 
 
+# Jumps a run of several spans may pad to: bounds the temporaries of one build.
+RUN_JUMPS = 8192
+
+
 def _length_classes(n: list[int]) -> list[list[int]]:
     """Span indices by length, in runs that pad to their longest span without doubling their
-    jumps or, unless the run is one span, passing 4096 padded jumps (which bounds the temporaries)."""
+    jumps or, unless the run is one span, passing ``RUN_JUMPS`` padded jumps.  A span longer
+    than half of ``RUN_JUMPS`` thus always gets a run of its own."""
     runs: list[list[int]] = []
     total = 0
     for s in sorted(range(len(n)), key=n.__getitem__):
-        if runs and (len(runs[-1]) + 1) * n[s] <= min(4096, 2 * (total + n[s])):
+        if runs and (len(runs[-1]) + 1) * n[s] <= min(RUN_JUMPS, 2 * (total + n[s])):
             runs[-1].append(s)
             total += n[s]
         else:
@@ -165,17 +178,24 @@ def _potts_scan(start: np.ndarray, cost: np.ndarray, gamma: float) -> tuple[np.n
     view = steps.transpose(2, 3, 0, 1)  # rows x chunks x size x labels
     view[:, :full] = cost[:, : full * size].reshape(rows, full, size, labels)
     view[:, full, : k - full * size] = cost[:, full * size :]
-    m = np.where(np.eye(labels, dtype=bool)[:, :, None, None], 0.0, INF)  # m[a, c]: from label a to c
+    # The steps update in place, so no step allocates a full-size temporary.
+    m = np.empty((labels, labels, rows, chunks))  # m[a, c]: from label a to c
+    m[...] = np.where(np.eye(labels, dtype=bool)[:, :, None, None], 0.0, INF)
+    low = np.empty((labels, 1, rows, chunks))
     for s in range(size):
-        m = np.minimum(m, m.min(axis=1, keepdims=True) + gamma) + steps[s]
+        m.min(axis=1, keepdims=True, out=low)
+        low += gamma
+        np.minimum(m, low, out=m)
+        m += steps[s]
     x, heads = start.T, np.empty((labels, rows, chunks))
     for q in range(chunks):
         heads[:, :, q] = x
         x = (x[:, None] + m[:, :, :, q]).min(axis=0)
     x, low = heads, np.empty((size, rows, chunks))
     for s in range(size):
-        np.min(x, axis=0, out=low[s])
-        x = np.minimum(x, low[s] + gamma) + steps[s]
+        x.min(axis=0, out=low[s])
+        np.minimum(x, low[s] + gamma, out=x)
+        x += steps[s]
     return low.transpose(1, 2, 0).reshape(rows, -1)[:, : k + 1], x[:, :, -1].T
 
 
@@ -191,10 +211,6 @@ def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateM
     col = np.arange(size + 1)
     sv = ev[first[:, None] + np.minimum(col, n[:, None])]  # f's states s_0..s_n, padded by s_n
     t = times[first[:, None] + np.minimum(col[:-1], n[:, None] - 1)]  # padded by t_n: zero gaps
-    # Occupancy of each label within [t_1, t_i), column i = 1..n.
-    pref = np.zeros((len(n), len(dist), size + 1))
-    pref[:, :, 2:] = np.cumsum(np.where(sv[:, None, 1:-1] == label, np.diff(t)[:, None], 0.0), axis=2)
-
     # Potts recurrence over f's events, forward from s_0 and backward from
     # s_n; padding events are free and carry s_n, so a row's bounds are
     # those of its own jumps.  lb[:, i] bounds every solution jumping at
@@ -207,6 +223,11 @@ def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateM
     low, end = _potts_scan(np.where(np.concatenate((c0, cn))[:, None] == label.T, 0.0, INF), cost, gamma)
     lb = low[: len(n)] + gamma + low[len(n) :, ::-1]
     potts = end[rows, cn] if dist.max() <= 1.0 else np.full(len(n), INF)
+    del cost, low  # before the tables below
+
+    # Occupancy of each label within [t_1, t_i), column i = 1..n.
+    pref = np.zeros((len(n), len(dist), size + 1))
+    pref[:, :, 2:] = np.cumsum(np.where(sv[:, None, 1:-1] == label, np.diff(t)[:, None], 0.0), axis=2)
 
     # Candidate jump vertices.  The second (second-to-last) jump can be
     # dropped when the gap to its neighbour is at most gamma: a solution
@@ -244,25 +265,100 @@ def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateM
     )
 
 
-def _cores(f: StateSequence, spans, gamma: float, metric: StateMetric, binary: bool, labels=None):
-    """(span index, :class:`_Core`) for each jump span (first, last) of f, from one table build.
+def _caps(block: dict, d_max: list[float], gamma: float) -> None:
+    """Add each row's bucket slack M and Potts cap, and the mask of its kept vertices, to ``block``.
 
-    The sorted ``labels`` (default: f's states) are filtered by :func:`_label_set`
-    once per distinct set of own states.  :func:`_block` builds each run of
-    :func:`_length_classes` when its first core is asked for.
+    Row by row the bits of the scalar formulas in :meth:`_Core.solve_primary`'s
+    docstring: M = 2 COST_TOL max(1, B) and cap = U + (n + 2) M.
     """
-    states = [f.initial_state] + [s for _, s in f.jumps]
-    labels = tuple(sorted(set(states))) if labels is None else labels
+    k, t = np.array(block["k"]), block["times"]
+    t0, tk = t[:, 1], t[np.arange(len(k)), k]
+    bound = 2 * np.maximum(-t0, tk) + 4 * (tk - t0) * np.maximum(1.0, d_max) + gamma * (k + 2)
+    slack = 2 * COST_TOL * np.maximum(1.0, bound)
+    cap = np.array(block["potts"]) + (np.array(block["n"]) + 2) * slack
+    block["kept"] = (block["lb"] <= cap[:, None]) & (np.arange(block["lb"].shape[1]) < k[:, None])
+    block["slack"], block["cap"] = slack.tolist(), cap.tolist()
+
+
+def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=None, settle: bool = False):
+    """(index, :class:`_Core`) for each jump span of each input, from one table build per run.
+
+    ``spans[i]`` lists the spans (first, last) of ``fs[i]``; a core's index is
+    its place in those lists laid end to end.  The inputs' jump times and
+    label rows are joined the same way, so one :func:`_block` build serves
+    rows of many inputs.  The sorted ``labels`` (default: the inputs' states)
+    are filtered by :func:`_label_set` once per distinct set of own states.
+    :func:`_block` builds each run of :func:`_length_classes` when its first
+    core is asked for.  With ``settle``, each row that keeps at most one
+    vertex comes as its :class:`_Settled` answer (:func:`_settle`) instead.
+    """
+    labels = tuple(sorted(set().union(*(f.states_used for f in fs)))) if labels is None else labels
     dist, sets = metric.matrix(labels), {}
-    first, last = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    d = dist.tolist()
+    # Each input's states, and its times with one unused last entry, so both share positions.
+    states = itertools.chain.from_iterable((f.initial_state, *map(itemgetter(1), f.jumps)) for f in fs)
+    ev = np.searchsorted(np.array(labels), np.fromiter(states, np.int64))  # label row of each event
+    times = np.fromiter(itertools.chain.from_iterable(f.jump_times + (INF,) for f in fs), float)
+    base = itertools.accumulate((f.n_jumps + 1 for f in fs), initial=0)
+    offset = [(a + o, b + o) for o, own in zip(base, spans) for a, b in own]
+    first, last = np.array(offset, dtype=np.int64).reshape(-1, 2).T
     n = last - first + 1
-    events = (np.array(f.jump_times), np.searchsorted(labels, states))  # jump times, label row of each event
     for group in _length_classes(n.tolist()):
-        block = _block(*events, first[group], n[group], dist, gamma, binary, metric)
-        for r, (s, own) in enumerate(zip(group, map(tuple, block.pop("own")))):
-            if own not in sets:
-                sets[own] = _label_set(own, dist.tolist(), labels)
-            yield s, _Core(block, r, sets[own], gamma, binary)
+        block = _block(times, ev, first[group], n[group], dist, gamma, binary, metric)
+        owns = [sets.get(o) or sets.setdefault(o, _label_set(o, d, labels)) for o in map(tuple, block.pop("own"))]
+        _caps(block, [own[3] for own in owns], gamma)
+        settled = _settle(block, np.flatnonzero(block["kept"].sum(axis=1) <= 1), labels) if settle else {}
+        for r, s in enumerate(group):
+            yield s, settled[r] if r in settled else _Core(block, r, owns[r], gamma, binary)
+        del block, settled  # before the next run's build
+
+
+class _Settled(NamedTuple):
+    """A subproblem's answer: its candidate and kept vertex counts, cost, primary and sorted optima."""
+
+    candidates: int
+    kept: int
+    cost: float
+    primary: StateSequence
+    optima: tuple[StateSequence, ...] | None
+
+
+_CAP_ERROR = "subproblem costs more than its Potts bound allows; the bound is invalid"
+
+
+def _settle(block: dict, rows: np.ndarray, labels) -> dict[int, _Settled]:
+    """The answers of the given rows of ``block``, each keeping at most one vertex.
+
+    They are :meth:`_Core.settle`'s bit for bit, with no core.  With no kept
+    vertex, only the direct arc can reach the sink.  With one, j, the source
+    arc settles j, and the sink compares the direct arc against w_source[j] +
+    w_sink[j] as :func:`_relax` does: a cost within ``_tie_tol`` of the least
+    is tied, and the direct arc wins a tie, having fewer jumps.  The same
+    errors are raised for a cost above the row's cap or an unreachable sink.
+    """
+    kept = block["kept"][rows]
+    one, j = kept.any(axis=1), kept.argmax(axis=1)  # j + 1: the kept vertex, if any
+    via = np.where(one, block["w_source"][rows, j] + block["w_sink"][rows, j], INF)
+    direct = 0.0 + np.array(block["w_direct"])[rows]
+    best = np.minimum(direct, via)
+    near = best + COST_TOL * np.maximum(1.0, np.abs(best))
+    jump = ~(direct <= near)
+    cost = np.where(jump, via, direct)
+    if np.any(cost > np.array(block["cap"])[rows]):
+        raise RuntimeError(_CAP_ERROR)
+    if not np.isfinite(cost).all():
+        raise RuntimeError(_UNREACHABLE)
+    tied = ~jump & (via <= near)
+    out = {}
+    stays = {c: StateSequence(c) for c in labels}  # one immutable no-jump answer per label
+    at = block["times"][rows, j + 1].tolist()  # the kept vertex's time
+    for r, t, x, moves, tie, has in zip(rows.tolist(), at, cost.tolist(), jump.tolist(), tied.tolist(), one.tolist()):
+        a, b = labels[block["c0"][r]], labels[block["cn"][r]]
+        stay = stays[a]
+        move = StateSequence(a, ((t, b),)) if a != b else stay  # as from_pairs builds it
+        primary = move if moves else stay
+        out[r] = _Settled(block["k"][r], int(has), x, primary, _distinct((stay, move)) if tie else (primary,))
+    return out
 
 
 class _Core:
@@ -278,15 +374,15 @@ class _Core:
     not end at j / start at k: in the binary graph c must be f's state right
     after k, and the jump at j must leave c.  ``column(j)`` returns the arc
     weights from every earlier vertex into j; absent arcs are +inf.  The
-    tables of a whole projection are built at once (:func:`_cores`); a core
-    slices its row and the rows of its labels (:func:`_label_set`) out of them.
+    tables of a whole projection pass are built at once (:func:`_cores`); a
+    core slices its row and the rows of its labels (:func:`_label_set`) out of them.
     ``lb`` holds each vertex's Potts bound, ``potts`` the Potts optimum
     (+inf unless proven exact) and ``kept`` the vertices whose bound is at
     most ``cap`` (see :meth:`solve_primary`).
     """
 
     def __init__(self, block: dict, r: int, label_set: tuple, gamma: float, binary: bool):
-        keep, index, self.states, d_max = label_set
+        keep, index, self.states, _ = label_set
         self.k = k = block["k"][r]
         self.gamma, self.binary, self.min_gap = gamma, binary, (2.0 * gamma if binary else gamma) - GAP_TOL
         self.c0, self.cn = index[block["c0"][r]], index[block["cn"][r]]
@@ -297,15 +393,13 @@ class _Core:
         self.w_source, self.w_sink = block["w_source"][r, :k], block["w_sink"][r, :k]
         self.w_direct = block["w_direct"][r]
 
-        # Plain-float tables for solve_primary, and its bucket slack M.
-        self.time_list = t = self.ktimes.tolist()
+        # Plain-float tables for solve_primary, its bucket slack M and its cap (:func:`_caps`).
+        self.time_list = self.ktimes.tolist()
         self.enter_rows = self.enter.tolist()
         self.admit_rows = self.admit.tolist() if binary else self.enter_rows
-        bound = 2 * max(-t[0], t[-1]) + 4 * (t[-1] - t[0]) * max(1.0, d_max) + gamma * (k + 2)
-        self.slack = 2 * COST_TOL * max(1.0, bound)
+        self.slack, self.cap = block["slack"][r], block["cap"][r]
         self.lb, self.potts = block["lb"][r, :k], block["potts"][r]
-        self.cap = self.potts + (block["n"][r] + 2) * self.slack
-        self.kept = (np.flatnonzero(self.lb <= self.cap) + 1).tolist()
+        self.kept = (np.flatnonzero(block["kept"][r]) + 1).tolist()
 
     @property
     def n_vertices(self) -> int:
@@ -444,8 +538,17 @@ class _Core:
 
         _relax(kk + 1, self.column(kk + 1), dist, parent, njumps, ties)
         if dist[-1] > self.cap:
-            raise RuntimeError("subproblem costs more than its Potts bound allows; the bound is invalid")
+            raise RuntimeError(_CAP_ERROR)
         return parent, dist, ties
+
+    def settle(self, solve, all_optimal: bool) -> _Settled:
+        """This subproblem's answer from the tables and tie record of ``solve(self)``."""
+        parent, dist, ties = solve(self)
+        path, cost = _path(parent, dist)
+        optima = None
+        if all_optimal:
+            optima = _distinct(map(self.path_to_sequence, _optimal_paths(parent, ties, self.times)))
+        return _Settled(self.k, len(self.kept), cost, self.path_to_sequence(path), optima)
 
     def path_to_sequence(self, path: tuple[int, ...]) -> StateSequence:
         pairs = [(self.time_list[a - 1], self.arc_state(a, b)) for a, b in zip(path[1:-1], path[2:])]
@@ -499,7 +602,7 @@ def _graph(f: StateSequence, gamma: float, metric: StateMetric, binary: bool) ->
         raise ValueError("binary graph requires a two-state sequence")
     if np.diff(f.jump_times).max() > _freeze_threshold(gamma, metric.matrix(f.states_used).tolist()) + GAP_TOL:
         raise ValueError("internal gap exceeds the split threshold; split the sequence first")
-    _, core = next(_cores(f, [(0, f.n_jumps - 1)], gamma, metric, binary))
+    _, core = next(_cores([f], [[(0, f.n_jumps - 1)]], gamma, metric, binary))
     size = core.n_vertices
     weight = np.full((size, size), INF)
     seg_state = np.full((size, size), -1, dtype=int)
@@ -589,11 +692,14 @@ def _relax(j: int, col: np.ndarray, dist, parent, njumps, ties: dict[int, list[i
     dist[j], parent[j], njumps[j] = float(cand[k]), k, njumps[k] + (j < len(dist) - 1)
 
 
+_UNREACHABLE = "sink unreachable; the graph violates its construction invariants"
+
+
 def _path(parent, dist) -> tuple[tuple[int, ...], float]:
     """Source-to-sink vertex path through the parent table, and its cost."""
     sink = len(dist) - 1
     if not math.isfinite(dist[sink]):
-        raise RuntimeError("sink unreachable; the graph violates its construction invariants")
+        raise RuntimeError(_UNREACHABLE)
     path = [sink]
     while path[-1] > 0:
         path.append(int(parent[path[-1]]))
@@ -672,19 +778,28 @@ class ProjectionResult:
         return len(self.subproblem_spans)
 
 
-def _reassemble(f: StateSequence, subs: tuple[Subproblem, ...], solved: list[StateSequence]) -> StateSequence:
+def _reassemble(f: StateSequence, spans: list[tuple[int, int]], solved: list[StateSequence]) -> StateSequence:
+    """f with the jumps of each span (first, last) replaced by those of its solution."""
     pairs: list[tuple[float, int]] = []
     pos = 0
-    for sub, sol in zip(subs, solved):
-        pairs.extend(f.jumps[pos : sub.first_jump])
+    for (first, last), sol in zip(spans, solved):
+        pairs.extend(f.jumps[pos:first])
         pairs.extend(sol.jumps)
-        pos = sub.last_jump + 1
+        pos = last + 1
     pairs.extend(f.jumps[pos:])
     return StateSequence.from_pairs(f.initial_state, pairs)
 
 
 def _seq_sort_key(seq: StateSequence):
     return (seq.n_jumps, seq.jump_times, tuple(s for _, s in seq.jumps))
+
+
+def _distinct(seqs) -> tuple[StateSequence, ...]:
+    """The distinct sequences, sorted by jump count, then jump times, then states."""
+    seen: dict[tuple, StateSequence] = {}
+    for seq in seqs:
+        seen.setdefault((seq.initial_state, seq.jumps), seq)
+    return tuple(sorted(seen.values(), key=_seq_sort_key))
 
 
 def project(
@@ -702,53 +817,76 @@ def project(
     to 2*gamma.  ``all_optimal`` additionally enumerates every optimal
     projection (combinations across independent subproblems included).
     """
-    return _project_with(_Core.solve_primary, f, gamma, metric, binary, all_optimal)
+    return project_many([f], gamma, metric, binary=binary, all_optimal=all_optimal)[0]
 
 
-def _project_with(solve, f, gamma, metric, binary, all_optimal) -> ProjectionResult:
-    """:func:`project` with each subproblem's tables and tie record from ``solve(core)``."""
+def project_many(
+    fs: list[StateSequence],
+    gamma: float,
+    metric: StateMetric = DISCRETE,
+    *,
+    binary: bool = False,
+    all_optimal: bool = False,
+) -> list[ProjectionResult]:
+    """:func:`project` of each sequence of ``fs``, in one pass.
+
+    The subproblems of all inputs over the same states share their table
+    builds, which spreads each build's fixed cost over many inputs; each
+    result is the one :func:`project` gives for its input alone.
+    """
+    return _project_with(None, fs, gamma, metric, binary, all_optimal)
+
+
+def _project_with(solve, fs, gamma, metric, binary, all_optimal) -> list[ProjectionResult]:
+    """:func:`project_many`, each subproblem settled by ``solve(core)``.
+
+    With ``solve`` None, subproblems that keep at most one vertex are settled
+    in bulk (:func:`_settle`) and the others by :meth:`_Core.solve_primary`.
+    """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and nonnegative")
-    if binary and len(f.states_used) > 2:
+    if binary and any(len(f.states_used) > 2 for f in fs):
         raise ValueError("binary projection requires a two-state sequence")
-    if gamma == 0 or f.n_jumps == 0:
-        return ProjectionResult(f, 0.0, (), (f,) if all_optimal else None)
+    results: list[ProjectionResult | None] = [None] * len(fs)
+    spans: list[list[tuple[int, int]]] = [[] for _ in fs]
+    groups: dict[tuple[int, ...], list[int]] = {}  # inputs by their sorted states
+    for i, f in enumerate(fs):
+        if gamma > 0 and f.n_jumps:
+            # Only the spans are kept, so the subproblems' sequences go at once.
+            spans[i] = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
+        if spans[i]:
+            groups.setdefault(f.states_used, []).append(i)
+        else:
+            results[i] = ProjectionResult(f, 0.0, (), (f,) if all_optimal else None)
 
-    subs = split_long_events(f, gamma, metric)
-    if not subs:
-        return ProjectionResult(f, 0.0, (), (f,) if all_optimal else None)
+    for labels, members in groups.items():
+        done: list = [None] * sum(len(spans[i]) for i in members)
+        inputs, their_spans = [fs[i] for i in members], [spans[i] for i in members]
+        rows = _cores(inputs, their_spans, gamma, metric, binary, labels, settle=solve is None)
+        for s, core in rows:  # in run order; each run's tables go once its rows are settled
+            done[s] = core if isinstance(core, _Settled) else core.settle(solve or _Core.solve_primary, all_optimal)
+        pos = 0
+        for i in members:
+            results[i] = _combine(fs[i], spans[i], done[pos : pos + len(spans[i])], all_optimal)
+            pos += len(spans[i])
+    return results
 
-    solved: list[StateSequence] = [f] * len(subs)
-    costs = [0.0] * len(subs)
-    per_sub_optima: list[list[StateSequence]] = [[] for _ in subs]
-    candidates = kept = 0
-    for s, core in _cores(f, [(sub.first_jump, sub.last_jump) for sub in subs], gamma, metric, binary):
-        candidates, kept = candidates + core.k, kept + len(core.kept)
-        parent, dist, ties = solve(core)
-        path, costs[s] = _path(parent, dist)
-        solved[s] = core.path_to_sequence(path)
-        if all_optimal:
-            seen: dict[tuple, StateSequence] = {}
-            for p in _optimal_paths(parent, ties, core.times):
-                seq = core.path_to_sequence(p)
-                seen.setdefault((seq.initial_state, seq.jumps), seq)
-            per_sub_optima[s] = sorted(seen.values(), key=_seq_sort_key)
+
+def _combine(
+    f: StateSequence, spans: list[tuple[int, int]], done: list[_Settled], all_optimal: bool
+) -> ProjectionResult:
+    """f's projection from the answers of its subproblems, in span order."""
     total = 0.0
-    for cost in costs:  # in span order, whatever order the cores came in
-        total += cost
-
-    projected = _reassemble(f, subs, solved)
-    spans = tuple(sub.span for sub in subs)
-
-    optima: tuple[StateSequence, ...] | None = None
+    for answer in done:
+        total += answer.cost
+    optima = None
     if all_optimal:
-        combos: dict[tuple, StateSequence] = {}
-        for choice in itertools.product(*per_sub_optima):
-            seq = _reassemble(f, subs, list(choice))
-            combos.setdefault((seq.initial_state, seq.jumps), seq)
-        optima = tuple(sorted(combos.values(), key=_seq_sort_key))
-
-    return ProjectionResult(projected, total, spans, optima, candidates, kept)
+        optima = _distinct(_reassemble(f, spans, list(pick)) for pick in itertools.product(*(a.optima for a in done)))
+    times = f.jump_times
+    return ProjectionResult(
+        _reassemble(f, spans, [a.primary for a in done]), total, tuple((times[a], times[b]) for a, b in spans), optima,
+        sum(a.candidates for a in done), sum(a.kept for a in done),
+    )
 
 
 def project_labels(

@@ -233,7 +233,8 @@ class StateSequence:
 
     @property
     def states_used(self) -> tuple[int, ...]:
-        seen = {self.initial_state} | {s for _, s in self.jumps}
+        seen = set(map(itemgetter(1), self.jumps))
+        seen.add(self.initial_state)
         return tuple(sorted(seen))
 
     def state_at(self, t: float) -> int:

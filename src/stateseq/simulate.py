@@ -16,10 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import LtsParams, accuracy, lts_measure
-from .projection import project_labels
+from .projection import project_many
 from .sequence import Labels
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), per-replication seed = seed + replication index"
+
+# Replications drawn, projected and scored together by run_sweep: enough to
+# share each projection table build, few enough to bound the draws held.
+SWEEP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -38,6 +42,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not all(math.isfinite(mu) and mu > 0 for mu in (self.mu_correct, self.mu_incorrect)):
             raise ValueError("spell means must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
@@ -110,6 +116,8 @@ class SweepConfig:
             raise ValueError("need at least one swept value")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         self._settings()
 
     def _settings(self) -> list[tuple[float, float, LtsParams]]:
@@ -154,34 +162,41 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     """Score noisy and post-processed labels across the swept values.
 
-    Replications run on the outside and swept values on the inside.
-    Per-replication seeds do not depend on the swept value, so within one
-    replication each stage runs once per distinct input it depends on: the
-    noisy draw per mu2, its projection per (mu2, gamma) and its scores per
-    (mu2, LTS settings).  A gamma sweep thus draws and scores the noisy
-    labels once per replication, not once per value.
+    Replications go in chunks of ``SWEEP_CHUNK``, and within a chunk the
+    stages run in order: every replication is drawn once per mu2, all the
+    draws of one mu2 are projected together once per (mu2, gamma), by
+    :func:`project_many`, and then scored, once per (mu2, LTS settings) before
+    projection and once per swept value after.  A gamma sweep thus draws and
+    scores the noisy labels once per replication, not once per value.
+    Per-replication seeds do not depend on the swept value or on the
+    chunking, and each value's scores are kept in replication order.
     """
     base = config.base
     settings = config._settings()
     acc: list[list[float]] = [[] for _ in settings]
     lts_noisy: list[list[float]] = [[] for _ in settings]
     lts_pp: list[list[float]] = [[] for _ in settings]
-    for rep in range(config.replications):
-        draws: dict[float, Labels] = {}
-        projections: dict[tuple[float, float], Labels] = {}
-        noisy_scores: dict[tuple[float, LtsParams], tuple[float, float]] = {}
+    for start in range(0, config.replications, SWEEP_CHUNK):
+        reps = range(start, min(start + SWEEP_CHUNK, config.replications))
+        draws: dict[float, list[Labels]] = {}
+        projections: dict[tuple[float, float], list[Labels]] = {}
+        noisy_scores: dict[tuple[float, LtsParams], list[tuple[float, float]]] = {}
         for i, (mu2, gamma, lts) in enumerate(settings):
             if mu2 not in draws:
-                draws[mu2] = generate_noisy_labels(base, NoiseModel(config.mu1, mu2, seed=config.seed + rep))
+                models = (NoiseModel(config.mu1, mu2, seed=config.seed + rep) for rep in reps)
+                draws[mu2] = [generate_noisy_labels(base, model) for model in models]
             noisy = draws[mu2]
             if (mu2, gamma) not in projections:
-                projections[mu2, gamma] = project_labels(noisy, gamma)[0]
+                projections[mu2, gamma] = [
+                    Labels.from_anchored(res.projected, x.horizon, x.n_states)
+                    for res, x in zip(project_many([x.to_anchored() for x in noisy], gamma), noisy)
+                ]
             if (mu2, lts) not in noisy_scores:
-                noisy_scores[mu2, lts] = (accuracy(base, noisy), lts_measure(base, noisy, lts))
-            noisy_acc, noisy_lts = noisy_scores[mu2, lts]
-            acc[i].append(noisy_acc)
-            lts_noisy[i].append(noisy_lts)
-            lts_pp[i].append(lts_measure(base, projections[mu2, gamma], lts))
+                noisy_scores[mu2, lts] = [(accuracy(base, x), lts_measure(base, x, lts)) for x in noisy]
+            for (noisy_acc, noisy_lts), projected in zip(noisy_scores[mu2, lts], projections[mu2, gamma]):
+                acc[i].append(noisy_acc)
+                lts_noisy[i].append(noisy_lts)
+                lts_pp[i].append(lts_measure(base, projected, lts))
 
     rows = []
     for i, value in enumerate(config.values):

@@ -413,6 +413,8 @@ class TestScoreCommand:
         (["simulate", "--mu2", "inf", "--reps", "1", "--out", "{out}"], 3),
         (["simulate", "--zeta", "inf", "--reps", "1", "--out", "{out}"], 3),
         (["score", "{worked}", "{worked}", "--measure", "lts", "--zeta", "inf"], 3),
+        (["simulate", "--seed", "-5", "--reps", "2", "--out", "{out}"], 3),
+        (["oracle-check", "--seed", "-1", "--instances", "3", "--out", "{out}"], 3),
     ],
     ids=[
         "project-gamma-nan",
@@ -431,6 +433,8 @@ class TestScoreCommand:
         "simulate-mu2-inf",
         "simulate-zeta-inf",
         "score-lts-zeta-inf",
+        "simulate-seed-negative",
+        "oracle-check-seed-negative",
     ],
 )
 def test_invalid_or_non_finite_parameters_exit_with_error(argv, code, worked_path, tmp_path, capsys):

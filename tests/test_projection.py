@@ -13,10 +13,12 @@ from stateseq import (
     TableMetric,
     build_graph,
     build_graph_binary,
+    default_base_labels,
     energy,
     generate_noisy_labels,
     project,
     project_labels,
+    project_many,
     shortest_path,
     split_long_events,
 )
@@ -26,12 +28,15 @@ from stateseq.io import format_labels
 from stateseq.oracle import _reference_tables, brute_force_project, random_instance, reference_project
 from stateseq.projection import (
     GAP_TOL,
+    RUN_JUMPS,
     ProjectionGraph,
     Subproblem,
+    _Settled,
     _cores,
     _dp,
     _first_path,
     _freeze_threshold,
+    _length_classes,
     _path,
     _project_with,
 )
@@ -215,12 +220,12 @@ class TestSharedTables:
 
     def _check(self, f, gamma, metric, binary):
         subs = split_long_events(f, gamma, metric)
-        cores = dict(_cores(f, [(sub.first_jump, sub.last_jump) for sub in subs], gamma, metric, binary))
+        cores = dict(_cores([f], [[(sub.first_jump, sub.last_jump) for sub in subs]], gamma, metric, binary))
         assert sorted(cores) == list(range(len(subs)))
         jumps = {}
         for s, sub in enumerate(subs):
             n, core = sub.sequence.n_jumps, cores[s]
-            _, alone = next(_cores(sub.sequence, [(0, n - 1)], gamma, metric, binary, f.states_used))
+            _, alone = next(_cores([sub.sequence], [[(0, n - 1)]], gamma, metric, binary, f.states_used))
             self._assert_same(core, alone)
             jumps.setdefault(id(core.times.base), [core.times.base.shape, 0])[1] += n
         # Padding at most doubles the jumps of each build.
@@ -296,7 +301,7 @@ class TestSolverTables:
                 f, gamma = _grid_instance(rng, int(rng.integers(2, 80)), n_states), float(rng.choice([0.1, 0.2, 0.3]))
             f = StateSequence(f.initial_state, tuple((t + offset, s) for t, s in f.jumps))
             spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
-            for _, core in _cores(f, spans, gamma, metric, binary):
+            for _, core in _cores([f], [spans], gamma, metric, binary):
                 full = _dp(core.n_vertices, core.column)
                 want = self._tables(*full)
                 self._check_pruned(core, core.solve_primary(), full)
@@ -312,7 +317,7 @@ def _noisy_recording(n_states, seed, horizon=270.0):
 
 def _reference_primary(f, gamma, metric=DISCRETE, binary=False):
     """reference_project's cost and primary, without enumerating the optima."""
-    return _project_with(_reference_tables, f, gamma, metric, binary, False)
+    return _project_with(_reference_tables, [f], gamma, metric, binary, False)[0]
 
 
 class TestPottsBound:
@@ -383,7 +388,7 @@ class TestPottsBound:
             f, gamma = random_instance(rng, max_jumps=30, n_states=n_states)
             proven = metric.matrix(f.states_used).max() <= 1
             spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
-            for _, core in _cores(f, spans, gamma, metric, binary):
+            for _, core in _cores([f], [spans], gamma, metric, binary):
                 size = core.n_vertices
                 weight = np.full((size, size), INF)
                 for j in range(1, size):
@@ -875,6 +880,144 @@ class TestTableMetricProjection:
         for _ in range(150):
             f, gamma = random_instance(rng, max_jumps=7, n_states=n_states)
             _assert_optimal(f, gamma, metric)
+
+
+def _study_draws(count, seed, base=None):
+    """Fine-noise draws of the simulation study's 60 s base (or of ``base``), anchored."""
+    base = default_base_labels() if base is None else base
+    return [generate_noisy_labels(base, NoiseModel(0.1, 0.08, seed=seed + r)).to_anchored() for r in range(count)]
+
+
+BINARY_BASE = Labels(60.0, 2, 1, ((5.0, 2), (15.0, 1), (30.0, 2), (40.0, 1), (55.0, 2)))
+
+
+class TestProjectMany:
+    # One pass over many inputs must give each input what a pass over it
+    # alone gives: projection, cost bits, spans, vertex counts and optima.
+    @staticmethod
+    def _assert_same(batched, single):
+        assert len(batched) == len(single)
+        for got, want in zip(batched, single):
+            assert got.projected == want.projected
+            assert got.cost.hex() == want.cost.hex()
+            assert got.subproblem_spans == want.subproblem_spans
+            assert (got.candidates, got.candidates_kept) == (want.candidates, want.candidates_kept)
+            assert got.optima == want.optima
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("name", ["discrete", *sorted(TABLE_METRICS)])
+    def test_study_draws_match_one_at_a_time(self, name, gamma):
+        # Two-state draws among them have other labels, so their rows get builds of their own.
+        metric = DISCRETE if name == "discrete" else TABLE_METRICS[name][0]
+        fs = _study_draws(20, seed=40) + _study_draws(3, seed=70, base=BINARY_BASE)
+        self._assert_same(project_many(fs, gamma, metric), [project(f, gamma, metric) for f in fs])
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.1, 0.5, 2.0])
+    def test_binary_draws_match_one_at_a_time(self, gamma):
+        fs = _study_draws(20, seed=60, base=BINARY_BASE)
+        self._assert_same(project_many(fs, gamma, binary=True), [project(f, gamma, binary=True) for f in fs])
+
+    def test_short_inputs_match_one_at_a_time_with_all_optima(self):
+        # Inputs over different states, with and without subproblems, and
+        # grid-aligned ones with exact ties.
+        rng = np.random.default_rng(78)
+        fs = [StateSequence(2), WORKED, BINARY]
+        fs += [_grid_instance(rng, int(rng.integers(2, 16)), int(rng.integers(2, 5))) for _ in range(30)]
+        fs += [random_instance(rng, max_jumps=10, n_states=3)[0] for _ in range(30)]
+        for gamma in (0.0, 0.1, 0.2, 0.3, 5.0):
+            batched = project_many(fs, gamma, all_optimal=True)
+            self._assert_same(batched, [project(f, gamma, all_optimal=True) for f in fs])
+        assert any(len(res.optima) > 1 for res in batched)
+
+    def test_builds_are_shared_and_capped(self, monkeypatch):
+        # On 64 study draws at gamma 0.1, no run of several spans pads past
+        # RUN_JUMPS or doubles its jumps, and one build serves many draws.
+        fs = _study_draws(64, seed=0)
+        n = [sub.sequence.n_jumps for f in fs for sub in split_long_events(f, 0.1)]
+        shared = [run for run in _length_classes(n) if len(run) > 1]
+        assert shared
+        for run in shared:
+            padded = len(run) * max(n[s] for s in run)
+            assert padded <= RUN_JUMPS and padded <= 2 * sum(n[s] for s in run)
+        build, rows = projection._block, []
+
+        def counted(times, ev, first, *rest):
+            rows.append(len(first))
+            return build(times, ev, first, *rest)
+
+        monkeypatch.setattr(projection, "_block", counted)
+        project_many(fs[:20], 0.5)
+        assert len(rows) < 5 and max(rows) > 5
+
+
+class TestSettledRows:
+    # Subproblems that keep at most one vertex are settled in bulk, with no
+    # core; reference_project still settles each of them by the per-column DP.
+    @staticmethod
+    def _settled(f, gamma):
+        spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma)]
+        rows = _cores([f], [spans], gamma, DISCRETE, False, settle=True)
+        return [row for _, row in rows if isinstance(row, _Settled)]
+
+    def test_rows_with_zero_or_one_kept_vertex_match_reference(self):
+        for f in _study_draws(3, seed=80):
+            kept = [row.kept for row in self._settled(f, 0.1)]
+            assert kept.count(0) > 5 and kept.count(1) > 5
+            fast, slow = project(f, 0.1, all_optimal=True), reference_project(f, 0.1)
+            assert fast.cost.hex() == slow.cost.hex()
+            assert fast.projected == slow.projected and fast.optima == slow.optima
+            assert (fast.candidates, fast.candidates_kept) == (slow.candidates, slow.candidates_kept)
+
+    def test_a_tie_with_the_direct_arc_keeps_it_and_records_both(self, monkeypatch):
+        # A few rows with one kept vertex j and no direct arc get one that
+        # costs exactly what the path through j costs.  The direct arc must
+        # win the tie, having no jump, and both answers must be listed.
+        caps, tied = projection._caps, []
+
+        def with_ties(block, d_max, gamma):
+            caps(block, d_max, gamma)
+            one = np.flatnonzero(block["kept"].sum(axis=1) == 1).tolist()
+            rows = [r for r in one if block["c0"][r] != block["cn"][r]]
+            for r in rows[: 3 - len(tied)]:
+                j = int(block["kept"][r].argmax())
+                block["w_direct"][r] = float(block["w_source"][r, j] + block["w_sink"][r, j])
+                tied.append(r)
+
+        f = _study_draws(1, seed=81)[0]
+        untied = len(project(f, 0.1, all_optimal=True).optima)
+        monkeypatch.setattr(projection, "_caps", with_ties)
+        fast = project(f, 0.1, all_optimal=True)
+        assert len(tied) == 3 and len(fast.optima) == 8 * untied
+        tied.clear()  # the same rows again, on the reference route
+        slow = reference_project(f, 0.1)
+        assert fast.cost.hex() == slow.cost.hex()
+        assert fast.projected == slow.projected and fast.optima == slow.optima
+        tied.clear()
+        ties = [row for row in self._settled(f, 0.1) if len(row.optima) == 2]
+        assert len(ties) == 3
+        for row in ties:
+            assert row.primary.n_jumps == 0 and row.optima[0] == row.primary and row.optima[1].n_jumps == 1
+            assert row.kept == 1
+
+    @pytest.mark.parametrize("cap, message", [(0.0, "Potts bound"), (INF, "sink unreachable")])
+    @pytest.mark.parametrize("route", ["bulk", "solver"])
+    def test_rows_raise_as_the_solver_does(self, monkeypatch, cap, message, route):
+        # With no vertex kept, rows with equal boundary states cost more than
+        # a zero cap, and the others cannot reach the sink.
+        caps = projection._caps
+
+        def no_vertex(block, d_max, gamma):
+            caps(block, d_max, gamma)
+            block["kept"][:] = False
+            block["cap"] = [cap] * len(block["cap"])
+
+        monkeypatch.setattr(projection, "_caps", no_vertex)
+        f = _study_draws(1, seed=82)[0]
+        with pytest.raises(RuntimeError, match=message):
+            if route == "bulk":
+                project(f, 0.1)
+            else:
+                _project_with(projection._Core.solve_primary, [f], 0.1, DISCRETE, False, False)
 
 
 class TestPinnedAnswers:

@@ -8,11 +8,15 @@ from stateseq import (
     LtsParams,
     NoiseModel,
     SweepConfig,
+    SweepRow,
     accuracy,
     default_base_labels,
     generate_noisy_labels,
+    lts_measure,
+    project_labels,
     run_sweep,
 )
+from stateseq.simulate import SWEEP_CHUNK, _mean_se
 
 
 class TestNoiseModel:
@@ -29,6 +33,12 @@ class TestNoiseModel:
             NoiseModel(*means)
         with pytest.raises(ValueError):
             SweepConfig(param="mu2", values=(means[1],), mu1=means[0], replications=1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(0.1, 0.08, seed=-3)
+        with pytest.raises(ValueError, match="seed"):
+            SweepConfig(param="mu2", values=(0.08,), replications=1, seed=-3)
 
     def test_reproducible(self):
         base = default_base_labels()
@@ -100,8 +110,32 @@ def _noisy_by_full_scan(base, model):
     return Labels.from_pairs(base.horizon, base.n_states, start, pairs)
 
 
+def _plain_sweep(config):
+    """run_sweep's rows, from one replication and one swept value at a time."""
+    scores = {value: ([], [], []) for value in config.values}
+    for rep in range(config.replications):
+        for value, (acc, noisy_lts, pp_lts) in scores.items():
+            mu2 = value if config.param == "mu2" else config.mu2
+            gamma = value if config.param == "gamma" else config.gamma
+            noisy = generate_noisy_labels(config.base, NoiseModel(config.mu1, mu2, seed=config.seed + rep))
+            projected, _ = project_labels(noisy, gamma)
+            acc.append(accuracy(config.base, noisy))
+            noisy_lts.append(lts_measure(config.base, noisy, config.lts))
+            pp_lts.append(lts_measure(config.base, projected, config.lts))
+    return tuple(
+        SweepRow(config.param, value, *_mean_se(acc), *_mean_se(noisy_lts), *_mean_se(pp_lts))
+        for value, (acc, noisy_lts, pp_lts) in scores.items()
+    )
+
+
 class TestSweep:
     PARAMS = LtsParams(0.6, 0.35, 0.0001, 0.5)
+
+    @pytest.mark.parametrize("param, values", [("gamma", (0.1, 0.5, 2.0)), ("mu2", (0.05, 0.08))])
+    def test_chunked_sweep_matches_plain_loop(self, param, values):
+        # Two chunks, the second one short.
+        config = SweepConfig(param=param, values=values, replications=SWEEP_CHUNK + 3, lts=self.PARAMS, seed=11)
+        assert run_sweep(config) == _plain_sweep(config)
 
     def test_deterministic(self):
         config = SweepConfig(
