@@ -24,8 +24,11 @@ gamma 0.1; the answer is the unpruned solver's, bit for bit.
 
 One pass serves many inputs (:func:`project_many`; :func:`project` is the
 pass over one): the subproblems of all inputs over the same states share
-their table builds, as padded rows in runs of similar length, and each input
-gets the answer a pass over it alone gives.  A subproblem whose bound keeps
+their table builds, as padded rows in runs of similar length.  Each input
+gets the projection, cost and optima a pass over it alone gives; only the
+bound's rounding depends on the padded width, so a vertex whose bound lies
+within rounding of the cap may be kept in one batch and pruned in another,
+which moves ``candidates_kept`` but no answer.  A subproblem whose bound keeps
 at most one vertex is settled in bulk from its direct and one-jump paths,
 without the sweep; on 60 s fine-noise study draws at gamma 0.1 that is about
 three in four of them.
@@ -831,8 +834,12 @@ def project_many(
     """:func:`project` of each sequence of ``fs``, in one pass.
 
     The subproblems of all inputs over the same states share their table
-    builds, which spreads each build's fixed cost over many inputs; each
-    result is the one :func:`project` gives for its input alone.
+    builds, which spreads each build's fixed cost over many inputs.  Each
+    result's ``projected``, ``cost``, ``subproblem_spans``, ``optima`` and
+    ``candidates`` are those :func:`project` gives for its input alone;
+    ``candidates_kept`` can differ where the Potts bound of a vertex lies
+    within rounding of its cap, since that rounding depends on the padded
+    width of the build the input shares.
     """
     return _project_with(None, fs, gamma, metric, binary, all_optimal)
 

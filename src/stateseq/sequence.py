@@ -233,8 +233,7 @@ class StateSequence:
 
     @property
     def states_used(self) -> tuple[int, ...]:
-        seen = set(map(itemgetter(1), self.jumps))
-        seen.add(self.initial_state)
+        seen = {self.initial_state} | {s for _, s in self.jumps}
         return tuple(sorted(seen))
 
     def state_at(self, t: float) -> int:
