@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--gamma", type=float, required=True, help="minimum event duration (seconds)")
     p.add_argument("--binary", action="store_true", help="two-state mode (doubled minimum gap)")
-    p.add_argument("--all-optimal", action="store_true", help="list every optimal projection in the report")
+    p.add_argument("--all-optimal", action="store_true", help="list the optimal paths of the candidate graphs")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("score", help="score an estimate against ground-truth labels")

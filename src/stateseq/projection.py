@@ -335,7 +335,7 @@ def _settle(block: dict, rows: np.ndarray, labels) -> dict[int, _Settled]:
     They are :meth:`_Core.settle`'s bit for bit, with no core.  With no kept
     vertex, only the direct arc can reach the sink.  With one, j, the source
     arc settles j, and the sink compares the direct arc against w_source[j] +
-    w_sink[j] as :func:`_relax` does: a cost within ``_tie_tol`` of the least
+    w_sink[j] as :func:`_choose` does: a cost within ``_tie_tol`` of the least
     is tied, and the direct arc wins a tie, having fewer jumps.  The same
     errors are raised for a cost above the row's cap or an unreachable sink.
     """
@@ -445,10 +445,10 @@ class _Core:
         enter, and entries go once the minimum falls by more than M.  Column
         j's candidates are the source arc and the bucket entries within M of
         lo, the least of them; each is costed bitwise as in the reference
-        column, via :meth:`_weight_single`.  A lone candidate settles j at
-        once, with no tie to record.  Between several, the winner is picked
-        as in :func:`_relax`, which also settles the sink, and the candidates
-        tied with the least cost are recorded where there are several.
+        column, via :meth:`_weight_single`, and :func:`_choose` settles j
+        from them as the reference DP does.  The sink is settled the same way
+        from the source and the kept vertices, whose weights come from
+        ``column(k + 1)``.
 
         M = 2 COST_TOL max(1, B) with B = 2 max|t| + 4 span max(1, d_max) +
         gamma (vertices) suffices: B bounds every intermediate on both sides (a
@@ -513,9 +513,7 @@ class _Core:
             g = gamma + tj
             terms = [g - row[j - 1] for row in enter]
             tops = list(map(add, best, terms))
-            lo = min(tops)
-            if src < lo:
-                lo = src
+            lo = min(src, *tops)
             if lo == INF:
                 continue
             cut = lo + slack
@@ -524,22 +522,12 @@ class _Core:
                 if tops[c] <= cut:
                     e = terms[c]
                     cands += [k for v, k in buckets[c] if v + e <= cut]
-            if len(cands) == 1:
-                k = cands[0]
-                dist[j], parent[j], njumps[j] = dist[k] + (self._weight_single(j, k) if k else src), k, njumps[k] + 1
-                continue
-            cost = {k: dist[k] + (src if k == 0 else self._weight_single(j, k)) for k in cands}
-            if len(cost) == 1:
-                (k,) = cost
-            else:
-                low = min(cost.values())
-                tied = [k for k, x in cost.items() if x <= low + _tie_tol(low)]
-                if len(tied) > 1:
-                    ties[j] = tied
-                k = _first_path(tied, njumps, parent)
-            dist[j], parent[j], njumps[j] = cost[k], k, njumps[k] + 1
+            cost = {k: dist[k] + (self._weight_single(j, k) if k else src) for k in cands}
+            _choose(j, cost, dist, parent, njumps, ties)
 
-        _relax(kk + 1, self.column(kk + 1), dist, parent, njumps, ties)
+        into = [0, *kept]  # the others stay at +inf and cannot reach the sink
+        weights = self.column(kk + 1)[into].tolist()
+        _choose(kk + 1, {k: dist[k] + w for k, w in zip(into, weights)}, dist, parent, njumps, ties)
         if dist[-1] > self.cap:
             raise RuntimeError(_CAP_ERROR)
         return parent, dist, ties
@@ -677,22 +665,21 @@ def _first_path(ties: list[int], njumps, parent) -> int:
     return win
 
 
-def _relax(j: int, col: np.ndarray, dist, parent, njumps, ties: dict[int, list[int]]) -> None:
-    """Settle vertex j from its column of incoming arc weights.
+def _choose(j: int, cost: dict[int, float], dist, parent, njumps, ties: dict[int, list[int]]) -> None:
+    """Settle vertex j from ``cost``, the path cost through each candidate predecessor.
 
-    Ties (costs equal up to COST_TOL) break by :func:`_first_path`, and more
-    than one tied predecessor goes into ``ties[j]``.  The sink (the last
-    vertex) adds no jump; an unreachable vertex stays at +inf.
+    The candidates within ``_tie_tol`` of the least cost are tied; several
+    go into ``ties[j]``, and :func:`_first_path` picks among them.  A vertex
+    whose least cost is +inf is unreachable and stays unsettled.
     """
-    cand = np.add(dist[:j], col)
-    best = cand.min()
-    if not math.isfinite(best):
+    low = min(cost.values())
+    if low == INF:
         return
-    tied = np.flatnonzero(cand <= best + _tie_tol(best)).tolist()
+    tied = [k for k, x in cost.items() if x <= low + _tie_tol(low)]
     if len(tied) > 1:
         ties[j] = tied
     k = _first_path(tied, njumps, parent)
-    dist[j], parent[j], njumps[j] = float(cand[k]), k, njumps[k] + (j < len(dist) - 1)
+    dist[j], parent[j], njumps[j] = cost[k], k, njumps[k] + 1
 
 
 _UNREACHABLE = "sink unreachable; the graph violates its construction invariants"
@@ -732,11 +719,14 @@ def _optimal_paths(parent, ties: dict[int, list[int]], times) -> list[tuple[int,
 
 
 def _dp(n: int, column: Callable[[int], np.ndarray]) -> tuple[list[int], list[float], dict[int, list[int]]]:
-    """:meth:`_Core.solve_primary`'s tables, each vertex settled by :func:`_relax` from its full column."""
+    """:meth:`_Core.solve_primary`'s tables, each vertex settled by :func:`_choose` from its full column."""
     dist, parent, njumps = _dp_tables(n)
     ties: dict[int, list[int]] = {}
     for j in range(1, n):
-        _relax(j, column(j), dist, parent, njumps, ties)
+        cand = np.add(dist[:j], column(j))
+        low = cand.min()
+        near = np.flatnonzero(cand <= low + _tie_tol(low))  # the candidates _choose can tie
+        _choose(j, dict(zip(near.tolist(), cand[near].tolist())), dist, parent, njumps, ties)
     return parent, dist, ties
 
 
@@ -763,10 +753,11 @@ class ProjectionResult:
     ``cost`` is the summed shortest-path cost over the processed regions
     (distance inside the subproblem spans plus gamma per retained jump
     there); jumps preserved between two frozen events sit outside every
-    span and are not included.  ``optima`` lists every optimal projection
-    when requested, the primary ``projected`` among them.  ``candidates``
-    counts the candidate jump vertices of all subproblems, and
-    ``candidates_kept`` those the Potts bound could not rule out.
+    span and are not included.  ``optima`` lists, when requested, the
+    optimal projections :func:`project` enumerates, the primary
+    ``projected`` among them.  ``candidates`` counts the candidate jump
+    vertices of all subproblems, and ``candidates_kept`` those the Potts
+    bound could not rule out.
     """
 
     projected: StateSequence
@@ -817,8 +808,13 @@ def project(
 
     gamma = 0 returns f unchanged.  With ``binary`` (two-state input) the
     parity-restricted graph is used and the output minimum duration doubles
-    to 2*gamma.  ``all_optimal`` additionally enumerates every optimal
-    projection (combinations across independent subproblems included).
+    to 2*gamma.  ``all_optimal`` additionally enumerates the optimal paths
+    of the candidate DAGs, combined across subproblems.  Each is an optimal
+    projection, but dropping the second and second-to-last candidates and
+    freezing events exactly at the threshold of :func:`split_long_events`
+    each keep some optimum, not all: tied optima through them are not
+    listed, and ``projected`` is the earliest optimum of the DAGs, not
+    always of all optima.
     """
     return project_many([f], gamma, metric, binary=binary, all_optimal=all_optimal)[0]
 

@@ -206,13 +206,6 @@ class StateSequence:
             return _unchecked(cls, initial_state=initial_state, jumps=jumps, _times=tuple(times))
         return cls(initial_state, jumps)  # raises for the first NaN or infinite time
 
-    @classmethod
-    def from_events(cls, events: Sequence[Event]) -> "StateSequence":
-        """Inverse of :meth:`events`."""
-        if not events:
-            raise ValueError("need at least one event")
-        return cls.from_pairs(events[0].state, [(e.start, e.state) for e in events[1:]])
-
     def _slice(self, a: int, b: int) -> "StateSequence":
         """Jumps a..b-1 after the state they follow; a slice of a valid sequence skips the checks."""
         initial = self.jumps[a - 1][1] if a else self.initial_state

@@ -10,6 +10,7 @@ and tabulates means with standard errors, reproducibly from a single seed.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -29,6 +30,20 @@ RNG_ALGORITHM = "numpy PCG64 (default_rng), per-replication seed = seed + replic
 SWEEP_CHUNK = 32
 
 
+def _set_seed(config) -> None:
+    """Store ``config.seed`` as a Python int; ValueError unless ``operator.index`` takes it and it is >= 0.
+
+    A numpy integer seed would otherwise overflow in ``seed + replication``.
+    """
+    try:
+        seed = operator.index(config.seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, not {config.seed!r}") from None
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    object.__setattr__(config, "seed", seed)  # the dataclass is frozen
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Exponential alternation between correct and incorrect spells.
@@ -45,8 +60,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not all(math.isfinite(mu) and mu > 0 for mu in (self.mu_correct, self.mu_incorrect)):
             raise ValueError("spell means must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _set_seed(self)
 
 
 def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
@@ -63,14 +77,10 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
     pairs: list[tuple[float, int]] = []
     t = 0.0
     correct = True
-    start_state: int | None = None
     while t < horizon:
         if correct:
             span = rng.exponential(model.mu_correct)
-            if start_state is None:
-                start_state = base.state_at(0.0)
-            else:
-                pairs.append((t, base.state_at(t)))
+            pairs.append((t, base.state_at(t)))  # at t = 0 it restates the start state
             end = min(t + span, horizon)
             pairs.extend(base.jumps[bisect_right(times, t) : bisect_left(times, end)])
         else:
@@ -81,8 +91,7 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
             pairs.append((t, wrong))
         t += span
         correct = not correct
-    start = base.start_state if start_state is None else start_state
-    return Labels.from_pairs(horizon, base.n_states, start, pairs)
+    return Labels.from_pairs(horizon, base.n_states, base.start_state, pairs)
 
 
 def default_base_labels() -> Labels:
@@ -119,8 +128,7 @@ class SweepConfig:
             raise ValueError("need at least one swept value")
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _set_seed(self)
         self._settings()
 
     def _settings(self) -> list[tuple[float, float, LtsParams]]:

@@ -144,7 +144,8 @@ class TestStandardDistance:
 def test_events_round_trip(initial, raw_pairs):
     raw_pairs.sort(key=lambda p: p[0])
     seq = StateSequence.from_pairs(initial, raw_pairs)
-    assert StateSequence.from_events(seq.events()) == seq
+    events = seq.events()
+    assert StateSequence.from_pairs(events[0].state, [(e.start, e.state) for e in events[1:]]) == seq
 
 
 def test_segment_breakpoints_are_union_of_jump_times():

@@ -40,6 +40,20 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="seed"):
             SweepConfig(param="mu2", values=(0.08,), replications=1, seed=-3)
 
+    @pytest.mark.parametrize("seed", [math.nan, 1.5, "3"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseModel(0.1, 0.08, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            SweepConfig(param="mu2", values=(0.08,), replications=1, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        base = default_base_labels()
+        drawn = generate_noisy_labels(base, NoiseModel(0.1, 0.08, seed=np.int64(4)))
+        assert drawn == generate_noisy_labels(base, NoiseModel(0.1, 0.08, seed=4))
+        # Stored as a Python int, so seed + replication cannot overflow a small numpy type.
+        assert type(SweepConfig(param="mu2", values=(0.08,), replications=1, seed=np.uint8(255)).seed) is int
+
     def test_reproducible(self):
         base = default_base_labels()
         model = NoiseModel(0.1, 0.08, seed=123)
