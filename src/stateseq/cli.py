@@ -6,7 +6,11 @@ sweeps, CSV output) and ``oracle-check`` (verify the fast projection and every
 optimum it lists against the brute-force reference on random instances).
 
 Exit codes: 0 ok, 1 check failed, 2 malformed file, 3 invalid parameters,
-4 incompatible inputs.
+4 incompatible inputs.  The handlers raise; :func:`main` maps what they
+raise to a code and prints one ``error:`` line: a :class:`LabelFileError`
+gives 2, any other ``ValueError`` (an argument check) or ``OSError`` (say,
+an output path that cannot be written) gives 3.  Anything else is a program
+fault and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import numpy as np
 
 from .io import LabelFileError, read_labels, write_labels, write_sweep_csv
 from .measures import GtsParams, LtsParams, accuracy, extend, gts_distance, lts_measure
-from .oracle import brute_force_project, random_instance
+from .oracle import MAX_ORACLE_JUMPS, MAX_ORACLE_STATES, brute_force_project, random_instance
 from .projection import energy, project, project_labels
 from .sequence import costs_close
-from .simulate import RNG_ALGORITHM, SweepConfig, run_sweep
+from .simulate import RNG_ALGORITHM, SweepConfig, default_base_labels, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,6 +58,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--binary", action="store_true", help="two-state mode (doubled minimum gap)")
     p.add_argument("--all-optimal", action="store_true", help="list the optimal paths of the candidate graphs")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_project)
 
     p = sub.add_parser("score", help="score an estimate against ground-truth labels")
     p.add_argument("truth")
@@ -63,6 +68,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.35)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0001)
     p.add_argument("--zeta", type=float, default=0.5)
+    p.set_defaults(run=_cmd_score)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo sweep; exactly one comma-list flag is swept")
     p.add_argument("--mu1", default="0.1", help="mean correct-spell duration")
@@ -76,6 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--base", help="base label file (defaults to the bundled 60 s sequence)")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("oracle-check", help="compare projection against brute force on random instances")
     p.add_argument("--instances", type=int, default=500)
@@ -83,22 +90,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-states", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="oracle-counterexample.json", help="counterexample dump on failure")
-
+    p.set_defaults(run=_cmd_oracle_check)
     return parser
 
 
 def _cmd_project(args) -> int:
     if not (math.isfinite(args.gamma) and args.gamma >= 0):
-        print("error: gamma must be finite and nonnegative", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    try:
-        labels = read_labels(args.input)
-    except LabelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise ValueError("gamma must be finite and nonnegative")
+    labels = read_labels(args.input)
     if args.binary and labels.n_states != 2:
-        print("error: --binary requires a two-state file", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        raise ValueError("--binary requires a two-state file")
 
     projected, result = project_labels(
         labels, args.gamma, binary=args.binary, all_optimal=args.all_optimal
@@ -128,20 +129,12 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    try:
-        if args.measure == "gts":
-            params = GtsParams(args.w, args.sigma)
-        elif args.measure == "lts":
-            params = LtsParams(args.w, args.sigma, args.lam, args.zeta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    try:
-        truth = read_labels(args.truth)
-        estimate = read_labels(args.estimate)
-    except LabelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    if args.measure == "gts":
+        params = GtsParams(args.w, args.sigma)
+    elif args.measure == "lts":
+        params = LtsParams(args.w, args.sigma, args.lam, args.zeta)
+    truth = read_labels(args.truth)
+    estimate = read_labels(args.estimate)
     if truth.horizon != estimate.horizon or truth.n_states != estimate.n_states:
         print("error: horizon or state count mismatch between inputs", file=sys.stderr)
         return EXIT_INCOMPATIBLE
@@ -170,41 +163,23 @@ def _cmd_simulate(args) -> int:
         }
         mu1 = float(args.mu1)
     except ValueError:
-        print("error: parameter lists must be comma-separated numbers", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        raise ValueError("parameter lists must be comma-separated numbers") from None
 
     swept = [name for name, values in lists.items() if len(values) > 1]
     if len(swept) > 1:
-        print(f"error: only one parameter may be swept, got lists for {swept}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        raise ValueError(f"only one parameter may be swept, got lists for {swept}")
     param = swept[0] if swept else "mu2"
-
-    base = None
-    if args.base:
-        try:
-            base = read_labels(args.base)
-        except LabelFileError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-
-    try:
-        lts = LtsParams(lists["w"][0], args.sigma, lists["lambda"][0], args.zeta)
-        kwargs = dict(
-            param=param,
-            values=lists[param],
-            replications=args.reps,
-            mu1=mu1,
-            mu2=lists["mu2"][0],
-            gamma=lists["gamma"][0],
-            lts=lts,
-            seed=args.seed,
-        )
-        if base is not None:
-            kwargs["base"] = base
-        config = SweepConfig(**kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    config = SweepConfig(
+        param=param,
+        values=lists[param],
+        base=read_labels(args.base) if args.base else default_base_labels(),  # a bad file outranks bad parameters
+        replications=args.reps,
+        mu1=mu1,
+        mu2=lists["mu2"][0],
+        gamma=lists["gamma"][0],
+        lts=LtsParams(lists["w"][0], args.sigma, lists["lambda"][0], args.zeta),
+        seed=args.seed,
+    )
 
     rows = run_sweep(config)
     metadata = {
@@ -226,15 +201,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.instances < 0 or args.max_jumps < 2 or not 2 <= args.max_states <= 4:
-        print("error: bounds outside oracle feasibility", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    if args.max_jumps > 10:
-        print("error: oracle is limited to 10 jumps", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    if args.instances < 0 or args.max_jumps < 2 or not 2 <= args.max_states <= MAX_ORACLE_STATES:
+        raise ValueError("bounds outside oracle feasibility")
+    if args.max_jumps > MAX_ORACLE_JUMPS:
+        raise ValueError(f"oracle is limited to {MAX_ORACLE_JUMPS} jumps")
     if args.seed < 0:
-        print("error: seed must be nonnegative", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        raise ValueError("seed must be nonnegative")
 
     rng = np.random.default_rng(args.seed)
     for i in range(args.instances):
@@ -264,10 +236,13 @@ def _cmd_oracle_check(args) -> int:
             "in_optimal_set": reference.contains(result.projected),
             "stray_optima": [[[t, s] for t, s in seq.jumps] for seq in stray],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(dump, fh, indent=2)
-            fh.write("\n")
         print(f"FAIL: instance {i} disagrees with brute force (see {args.out})")
+        try:  # the failed check decides the exit code, not the dump
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(dump, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: counterexample not written: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     print(f"OK: {args.instances} instances agree with brute force")
     return EXIT_OK
@@ -275,13 +250,11 @@ def _cmd_oracle_check(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "project": _cmd_project,
-        "score": _cmd_score,
-        "simulate": _cmd_simulate,
-        "oracle-check": _cmd_oracle_check,
-    }
-    return handlers[args.command](args)
+    try:
+        return args.run(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR if isinstance(exc, LabelFileError) else EXIT_BAD_PARAMS
 
 
 if __name__ == "__main__":

@@ -96,12 +96,10 @@ def gts_distance(
     sigma is infinite), plus O((n + m) log m) and one standard distance per
     re-evaluated candidate.
     """
-    if metric.d(f.initial_state, g.initial_state) > 0.0:
-        return INF
-    if metric.d(f.final_state, g.final_state) > 0.0:
+    d0 = standard_distance(f, g, metric)
+    if d0 == INF:  # an unbounded segment disagrees at every shift
         return INF
     sigma, w = params.sigma, params.w
-    d0 = standard_distance(f, g, metric)
 
     states = sorted(set(f.states_used) | set(g.states_used))
     index = {s: k for k, s in enumerate(states)}

@@ -293,7 +293,8 @@ def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=No
     are filtered by :func:`_label_set` once per distinct set of own states.
     :func:`_block` builds each run of :func:`_length_classes` when its first
     core is asked for.  With ``settle``, each row that keeps at most one
-    vertex comes as its :class:`_Settled` answer (:func:`_settle`) instead.
+    vertex comes as its :class:`_Settled` answer (:func:`_settle`) instead,
+    unless its cost breaks the subproblem's invariants.
     """
     labels = tuple(sorted(set().union(*(f.states_used for f in fs)))) if labels is None else labels
     dist, sets = metric.matrix(labels), {}
@@ -326,9 +327,6 @@ class _Settled(NamedTuple):
     optima: tuple[StateSequence, ...] | None
 
 
-_CAP_ERROR = "subproblem costs more than its Potts bound allows; the bound is invalid"
-
-
 def _settle(block: dict, rows: np.ndarray, labels) -> dict[int, _Settled]:
     """The answers of the given rows of ``block``, each keeping at most one vertex.
 
@@ -336,8 +334,9 @@ def _settle(block: dict, rows: np.ndarray, labels) -> dict[int, _Settled]:
     vertex, only the direct arc can reach the sink.  With one, j, the source
     arc settles j, and the sink compares the direct arc against w_source[j] +
     w_sink[j] as :func:`_choose` does: a cost within ``_tie_tol`` of the least
-    is tied, and the direct arc wins a tie, having fewer jumps.  The same
-    errors are raised for a cost above the row's cap or an unreachable sink.
+    is tied, and the direct arc wins a tie, having fewer jumps.  A row whose
+    cost is above its cap or not finite is left out, so that its
+    :class:`_Core` raises what the solver raises.
     """
     kept = block["kept"][rows]
     one, j = kept.any(axis=1), kept.argmax(axis=1)  # j + 1: the kept vertex, if any
@@ -347,15 +346,14 @@ def _settle(block: dict, rows: np.ndarray, labels) -> dict[int, _Settled]:
     near = best + COST_TOL * np.maximum(1.0, np.abs(best))
     jump = ~(direct <= near)
     cost = np.where(jump, via, direct)
-    if np.any(cost > np.array(block["cap"])[rows]):
-        raise RuntimeError(_CAP_ERROR)
-    if not np.isfinite(cost).all():
-        raise RuntimeError(_UNREACHABLE)
     tied = ~jump & (via <= near)
+    ok = (cost <= np.array(block["cap"])[rows]) & np.isfinite(cost)
     out = {}
     stays = {c: StateSequence(c) for c in labels}  # one immutable no-jump answer per label
     at = block["times"][rows, j + 1].tolist()  # the kept vertex's time
-    for r, t, x, moves, tie, has in zip(rows.tolist(), at, cost.tolist(), jump.tolist(), tied.tolist(), one.tolist()):
+    for r, t, x, moves, tie, has in itertools.compress(
+        zip(rows.tolist(), at, cost.tolist(), jump.tolist(), tied.tolist(), one.tolist()), ok.tolist()
+    ):
         a, b = labels[block["c0"][r]], labels[block["cn"][r]]
         stay = stays[a]
         move = StateSequence(a, ((t, b),)) if a != b else stay  # as from_pairs builds it
@@ -529,7 +527,7 @@ class _Core:
         weights = self.column(kk + 1)[into].tolist()
         _choose(kk + 1, {k: dist[k] + w for k, w in zip(into, weights)}, dist, parent, njumps, ties)
         if dist[-1] > self.cap:
-            raise RuntimeError(_CAP_ERROR)
+            raise RuntimeError("subproblem costs more than its Potts bound allows; the bound is invalid")
         return parent, dist, ties
 
     def settle(self, solve, all_optimal: bool) -> _Settled:

@@ -344,6 +344,15 @@ class TestProjectCommand:
             == 3
         )
 
+    def test_unwritable_out_exits_3_without_traceback(self, worked_path, tmp_path):
+        out = tmp_path / "missing" / "out.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(stateseq.__file__).parents[1])}
+        argv = ["project", str(worked_path), "--gamma", "0.1", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "stateseq.cli", *argv], capture_output=True, text=True, env=env)
+        assert done.returncode == 3 and "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_sampled_input(self, tmp_path):
         src = tmp_path / "sampled.csv"
         src.write_text(SAMPLED_FILE)
@@ -415,6 +424,8 @@ class TestScoreCommand:
         (["score", "{worked}", "{worked}", "--measure", "lts", "--zeta", "inf"], 3),
         (["simulate", "--seed", "-5", "--reps", "2", "--out", "{out}"], 3),
         (["oracle-check", "--seed", "-1", "--instances", "3", "--out", "{out}"], 3),
+        (["project", "{worked}", "--gamma", "0.1", "--out", "{missing}"], 3),
+        (["simulate", "--reps", "1", "--out", "{missing}"], 3),
     ],
     ids=[
         "project-gamma-nan",
@@ -435,13 +446,16 @@ class TestScoreCommand:
         "score-lts-zeta-inf",
         "simulate-seed-negative",
         "oracle-check-seed-negative",
+        "project-out-unwritable",
+        "simulate-out-unwritable",
     ],
 )
 def test_invalid_or_non_finite_parameters_exit_with_error(argv, code, worked_path, tmp_path, capsys):
     inf_horizon = tmp_path / "inf.csv"
     inf_horizon.write_text("# format: jumps\n# horizon: inf\n# states: 2\n# initial: 1\ntime,state\n")
     out = tmp_path / "out.csv"
-    paths = {"worked": str(worked_path), "inf": str(inf_horizon), "out": str(out)}
+    missing = tmp_path / "missing" / "out.csv"  # under a directory that does not exist
+    paths = {"worked": str(worked_path), "inf": str(inf_horizon), "out": str(out), "missing": str(missing)}
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
@@ -657,3 +671,15 @@ class TestOracleCheckCommand:
         assert "FAIL" in capsys.readouterr().out
         dump = json.loads(out.read_text())
         assert "expected_cost" in dump and "projected_cost" in dump
+
+    def test_unwritable_dump_still_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        import stateseq.cli as cli
+        from stateseq.projection import ProjectionResult
+
+        # The fault of test_injected_fault_dumps_counterexample, with no directory for the dump.
+        monkeypatch.setattr(cli, "project", lambda f, gamma: ProjectionResult(f, 0.0, ()))
+        out = tmp_path / "missing" / "cex.json"
+        assert main(["oracle-check", "--instances", "20", "--seed", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL: instance") and "error:" in captured.err
+        assert not out.exists()
