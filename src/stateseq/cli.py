@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -104,8 +105,6 @@ def _cmd_project(args) -> int:
     projected, result = project_labels(
         labels, args.gamma, binary=args.binary, all_optimal=args.all_optimal
     )
-    write_labels(args.out, projected)
-
     report = {
         "gamma": args.gamma,
         "binary": args.binary,
@@ -122,9 +121,13 @@ def _cmd_project(args) -> int:
             {"initial": seq.state_at(0.0), "jumps": [[t, s] for t, s in seq.jumps]}
             for seq in result.optima
         ]
-    with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_labels(args.out, projected)
+    try:
+        with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2) + "\n")
+    except OSError:
+        os.remove(args.out)  # no label file without its report
+        raise
     return EXIT_OK
 
 
@@ -181,7 +184,6 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
 
-    rows = run_sweep(config)
     metadata = {
         "rng": RNG_ALGORITHM,
         "seed": args.seed,
@@ -195,8 +197,8 @@ def _cmd_simulate(args) -> int:
         "zeta": args.zeta,
         "swept": param,
     }
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(fh, rows, metadata)
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:  # an unwritable path fails before the sweep
+        write_sweep_csv(fh, run_sweep(config), metadata)
     return EXIT_OK
 
 

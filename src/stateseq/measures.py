@@ -7,25 +7,30 @@ one shift of the whole sequence at a price per shifted second, the locally
 time-shifted (LTS) distance down-weights short disagreement segments flanked
 by agreement, and a duration penalty charges estimates containing
 implausibly short events.  exp(-LTS/horizon - penalty) maps everything to a
-(0, 1] score where 1 is perfect.
+(0, 1] score where 1 is perfect.  Accuracy and LTS are read off one joint
+segmentation held as arrays, in O((n + m) log(n + m)) time for n and m jumps,
+with totals added in segment order, so they equal a per-segment loop bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, starmap
-from operator import eq, itemgetter, ne, sub
+from operator import itemgetter
 
 import numpy as np
 
 from .sequence import (
     DISCRETE,
     INF,
+    TIME_MERGE_TOL,
     Labels,
     StateMetric,
     StateSequence,
-    segments,
+    _codes,
+    _columns,
+    _integral,
+    _joint,
     standard_distance,
 )
 
@@ -101,13 +106,9 @@ def gts_distance(
         return INF
     sigma, w = params.sigma, params.w
 
-    states = sorted(set(f.states_used) | set(g.states_used))
-    index = {s: k for k, s in enumerate(states)}
+    (f_times, f_all), (g_times, g_all) = _columns(f), _columns(g)
+    states, f_states, g_states = _codes(f_all, g_all)
     dmat = metric.matrix(states)
-    f_times = np.array(f.jump_times, dtype=float)
-    g_times = np.array(g.jump_times, dtype=float)
-    f_states = np.array([index[f.initial_state]] + [index[s] for _, s in f.jumps], dtype=np.intp)
-    g_states = np.array([index[g.initial_state]] + [index[s] for _, s in g.jumps], dtype=np.intp)
     p, q = f_states[:-1], f_states[1:]
 
     # Right slope at eps = 0: g right after each unshifted jump of f.
@@ -151,13 +152,8 @@ def gts_distance(
     n_terms = len(f_times) + len(g_times) + len(eps)
     d_max = float(dmat.max())
     slack = 2.0**-45 * (d_max * ((t_abs + reach) * n_terms + reach * len(eps) * len(f_times)) + w * reach + low)
-    best = INF
-    for shift in set(shifts[swept <= low + slack].tolist()):
-        dist = d0 if shift == 0.0 else standard_distance(f.shifted(shift), g, metric)
-        value = dist + w * abs(shift)
-        if value < best:
-            best = value
-    return best
+    near = set(shifts[swept <= low + slack].tolist())
+    return min((d0 if eps == 0.0 else standard_distance(f.shifted(eps), g, metric)) + w * abs(eps) for eps in near)
 
 
 def _walk(
@@ -189,33 +185,13 @@ def lts_distance(
     agree; for the outermost finite segments the unbounded end segments act
     as the neighbours.  Disagreement on an unbounded segment yields +inf.
     """
-    if metric.d(f.initial_state, g.initial_state) > 0.0:
-        return INF
-    if metric.d(f.final_state, g.final_state) > 0.0:
-        return INF
-    seg = segments(f, g)
-    b, pairs = seg.breakpoints, seg.pairs
-    agree = list(starmap(eq, pairs))
-    total = 0.0
-    # seg.pairs[0] is (-inf, a1); finite segments are indices 1 .. n_seg-2.
-    for i, d in enumerate(starmap(metric.d, pairs[1:-1]), 1):
-        if d == 0.0:
-            continue
-        length = b[i] - b[i - 1]
-        delta = params.w if length <= params.sigma and agree[i - 1] and agree[i + 1] else 1.0
-        total += delta * length * d
-    return total
+    return _integral(_joint(*_columns(f), *_columns(g)), metric, params.w, params.sigma)
 
 
 def duration_penalty(g: StateSequence, lam: float, zeta: float) -> float:
     """lam per inter-jump gap strictly shorter than zeta."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lambda must be finite and nonnegative")
-    if not (math.isfinite(zeta) and zeta > 0):
-        raise ValueError("zeta must be finite and positive")
-    times = g.jump_times
-    violations = sum(1 for a, b in zip(times, times[1:]) if b - a < zeta)
-    return lam * violations
+    LtsParams(lam=lam, zeta=zeta)  # checks lam and zeta
+    return lam * int(np.count_nonzero(np.diff(g.jump_times) < zeta))
 
 
 FILL_STATE = 1
@@ -235,9 +211,23 @@ def extend(labels: Labels, fill_state: int = FILL_STATE) -> StateSequence:
     return StateSequence._from_columns(fill_state, times, states)
 
 
-def _check_same_horizon(f: Labels, g: Labels) -> None:
-    if f.horizon != g.horizon:
-        raise ValueError(f"horizon mismatch: {f.horizon} vs {g.horizon}")
+def _extension(labels: Labels, fill_state: int = FILL_STATE) -> tuple[np.ndarray, list]:
+    """The :func:`~stateseq.sequence._columns` of ``extend(labels)``, built without
+    that sequence unless some of its jumps lie closer than ``TIME_MERGE_TOL``."""
+    times = np.array([0.0, *labels._times, labels.horizon], dtype=float)  # type: ignore[attr-defined]
+    if not (np.diff(times) >= TIME_MERGE_TOL).all():
+        return _columns(extend(labels, fill_state))  # some jumps merge
+    states = [int(labels.start_state), *map(itemgetter(1), labels.jumps), int(fill_state)]
+    # Consecutive label states differ, so only a jump at 0 or the horizon can repeat one (and drop out).
+    first, last = int(states[0] == fill_state), int(states[-2] == fill_state)
+    return times[first : len(times) - last], [fill_state, *states[first : len(states) - last]]
+
+
+def _extended_joint(truth: Labels, estimate: Labels) -> tuple:
+    """The :func:`~stateseq.sequence._joint` of both extensions; ValueError if the horizons differ."""
+    if truth.horizon != estimate.horizon:
+        raise ValueError(f"horizon mismatch: {truth.horizon} vs {estimate.horizon}")
+    return _joint(*_extension(truth), *_extension(estimate))
 
 
 def lts_measure(
@@ -249,18 +239,11 @@ def lts_measure(
     duration penalty looks only at the estimate's interior transitions, so
     the artificial extension jumps at 0 and the horizon never count.
     """
-    _check_same_horizon(truth, estimate)
-    dist = lts_distance(extend(truth), extend(estimate), params, metric)
+    dist = _integral(_extended_joint(truth, estimate), metric, params.w, params.sigma)
     dp = duration_penalty(estimate.to_anchored(), params.lam, params.zeta)
     return math.exp(-dist / truth.horizon - dp)
 
 
 def accuracy(truth: Labels, estimate: Labels) -> float:
     """Fraction of [0, horizon) on which the two label sets agree."""
-    _check_same_horizon(truth, estimate)
-    seg = segments(extend(truth), extend(estimate))
-    b = seg.breakpoints
-    mismatch = 0.0
-    for length in compress(map(sub, b[1:], b), starmap(ne, seg.pairs[1:-1])):
-        mismatch += length
-    return 1.0 - mismatch / truth.horizon
+    return 1.0 - _integral(_extended_joint(truth, estimate), DISCRETE) / truth.horizon

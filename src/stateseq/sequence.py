@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap
+from itertools import chain, compress, repeat
 from operator import eq, gt, itemgetter, le, lt, ne, sub
 from typing import Iterable, Sequence
 
@@ -24,11 +24,9 @@ INF = math.inf
 # keeps file round-trips (9 decimal digits) from creating zero-length events.
 TIME_MERGE_TOL = 1e-9
 
-# Below these many jumps, from_pairs takes its time gaps and segments its
-# joint breakpoints with Python's builtins, which then cost less than numpy's
-# fixed cost per call.
+# Below these many jumps, from_pairs takes its time gaps with Python's
+# builtins, which then cost less than numpy's fixed cost per call.
 _NUMPY_GAPS_FROM = 256
-_NUMPY_SEGMENTS_FROM = 48
 
 # A merge tolerance under which only equal times merge: a gap below the
 # smallest positive float is zero.
@@ -273,46 +271,63 @@ class Segmentation:
             raise ValueError("need exactly one more pair than breakpoints")
 
 
+def _columns(seq: StateSequence) -> tuple[np.ndarray, list]:
+    """The jump times of ``seq`` as an array and its states, the initial state first."""
+    return np.array(seq.jump_times, dtype=float), [seq.initial_state, *map(itemgetter(1), seq.jumps)]
+
+
+def _codes(f_states: list, g_states: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """The sorted distinct states of both lists, then each list as indices into them (exact for ids of any size)."""
+    states = sorted({*f_states, *g_states})
+    index = dict(zip(states, range(len(states))))
+    return states, *(np.fromiter(map(index.__getitem__, s), np.intp, len(s)) for s in (f_states, g_states))
+
+
+def _joint(f_times: np.ndarray, f_states: list, g_times: np.ndarray, g_states: list) -> tuple:
+    """The joint segmentation of two sequences given by their :func:`_columns`: the breakpoints
+    (the sorted union of the jump times), f's and g's state codes on each of the len(breakpoints) + 1
+    segments, segment 0 being (-inf, first breakpoint), and the sorted states that the codes index."""
+    states, f_codes, g_codes = _codes(f_states, g_states)
+    # The sorted union, as np.union1d has it; that one's first call imports
+    # numpy.ma, which adds over 1 MiB to the peak memory.
+    both = np.sort(np.concatenate((f_times, g_times)))
+    breaks = np.concatenate((both[:1], both[1:][both[1:] != both[:-1]]))
+    # Code k is the state after the first k jumps; no jump precedes -inf.
+    starts = np.concatenate(([-INF], breaks))
+    f_at, g_at = f_times.searchsorted(starts, "right"), g_times.searchsorted(starts, "right")
+    return breaks, f_codes[f_at], g_codes[g_at], states
+
+
 def segments(f: StateSequence, g: StateSequence) -> Segmentation:
     """Smallest partition of the line on which neither f nor g changes."""
-    ft, gt = f.jump_times, g.jump_times
-    # Entry k of a state list is the state after the first k jumps.
-    f_states = (f.initial_state, *map(itemgetter(1), f.jumps))
-    g_states = (g.initial_state, *map(itemgetter(1), g.jumps))
-    if len(ft) + len(gt) < _NUMPY_SEGMENTS_FROM:
-        breaks = sorted({*ft, *gt})
-        f_at = map(f_states.__getitem__, map(bisect_right, repeat(ft), breaks))
-        g_at = map(g_states.__getitem__, map(bisect_right, repeat(gt), breaks))
-    else:
-        f_times, g_times = np.array(ft, dtype=float), np.array(gt, dtype=float)
-        # The sorted union, as np.union1d has it; that one's first call
-        # imports numpy.ma, which adds over 1 MiB to the peak memory.
-        both = np.sort(np.concatenate((f_times, g_times)))
-        union = both[np.concatenate(([True], both[1:] != both[:-1]))]
-        # Object arrays hand back the very state ids.
-        f_at = np.array(f_states, dtype=object)[np.searchsorted(f_times, union, side="right")].tolist()
-        g_at = np.array(g_states, dtype=object)[np.searchsorted(g_times, union, side="right")].tolist()
-        breaks = union.tolist()
-    return Segmentation(tuple(breaks), ((f.initial_state, g.initial_state), *zip(f_at, g_at)))
+    breaks, f_codes, g_codes, states = _joint(*_columns(f), *_columns(g))
+    at = states.__getitem__
+    pairs = list(zip(map(at, f_codes.tolist()), map(at, g_codes.tolist())))
+    return Segmentation(tuple(breaks.tolist()), tuple(pairs))
 
 
 def standard_distance(f: StateSequence, g: StateSequence, metric: StateMetric = DISCRETE) -> float:
-    """Integral of d(f(t), g(t)) over the whole line.
+    """Integral of d(f(t), g(t)) over the whole line: the segment-length * state-distance terms
+    added in segment order, or +inf as soon as the sequences disagree on an unbounded segment."""
+    return _integral(_joint(*_columns(f), *_columns(g)), metric)
 
-    Exact finite sum of segment-length * state-distance terms; +inf as soon
-    as the sequences disagree on an unbounded segment.
-    """
-    if metric.d(f.initial_state, g.initial_state) > 0.0:
+
+def _integral(joint: tuple, metric: StateMetric, w: float = 1.0, sigma: float = -INF) -> float:
+    """Sum of (delta * length) * d(f, g) over the finite segments of a :func:`_joint`, in segment order,
+    with delta ``w`` on a segment at most ``sigma`` long whose neighbours both agree and 1 elsewhere;
+    +inf when f and g disagree on an unbounded segment."""
+    breaks, f_codes, g_codes, states = joint
+    d = metric.matrix(states)[f_codes, g_codes]
+    if d[0] > 0.0 or d[-1] > 0.0:
         return INF
-    if metric.d(f.final_state, g.final_state) > 0.0:
-        return INF
-    seg = segments(f, g)
-    b, inner = seg.breakpoints, seg.pairs[1:-1]
-    total = 0.0
-    # The i-th finite segment spans b[i-1] .. b[i]; terms add in segment order.
-    for length, (sf, sg) in compress(zip(map(sub, b[1:], b), inner), starmap(ne, inner)):
-        total += length * metric.d(sf, sg)
-    return total
+    lengths = breaks[1:] - breaks[:-1]
+    if w != 1.0:  # delta = 1 changes no term: 1.0 * length is length
+        agree = f_codes == g_codes
+        # lengths[i] is finite segment i + 1, between segments i and i + 2.
+        lengths = np.where((lengths <= sigma) & agree[:-2] & agree[2:], w * lengths, lengths)
+    terms = lengths * d[1:-1]
+    # A sequential sum, as a loop would add them; np.sum adds pairwise.
+    return 0.0 + np.add.accumulate(terms).item(-1) if terms.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,13 @@ class TestProjectCommand:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_unwritable_report_leaves_no_label_file(self, worked_path, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        (tmp_path / "x.csv.report.json").mkdir()
+        assert main(["project", str(worked_path), "--gamma", "0.1", "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sampled_input(self, tmp_path):
         src = tmp_path / "sampled.csv"
         src.write_text(SAMPLED_FILE)
@@ -501,6 +508,18 @@ class TestSimulateCommand:
 
     def test_bad_reps_exit_3(self, tmp_path):
         assert main(["simulate", "--reps", "0", "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_unwritable_out_exits_3_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        import stateseq.cli as cli
+
+        def no_sweep(config):
+            raise AssertionError("the sweep ran before the output was opened")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["simulate", "--gamma", "0.1,0.5", "--reps", "200", "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sampled_and_jump_forms_agree_on_accuracy(tmp_path):

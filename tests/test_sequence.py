@@ -8,15 +8,21 @@ from stateseq import (
     DISCRETE,
     Labels,
     LtsParams,
+    NoiseModel,
     Segmentation,
     StateSequence,
     TableMetric,
     accuracy,
+    duration_penalty,
+    extend,
+    generate_noisy_labels,
     lts_distance,
+    lts_measure,
     segments,
     standard_distance,
 )
-from stateseq.sequence import TIME_MERGE_TOL
+from stateseq.measures import _extension
+from stateseq.sequence import TIME_MERGE_TOL, _columns
 
 INF = math.inf
 
@@ -312,12 +318,26 @@ def _per_segment_lts_distance(f, g, params, metric):
     return total
 
 
-def _per_segment_accuracy(truth, estimate):
-    def extended(labels):
-        pairs = [(0.0, labels.start_state), *labels.jumps, (labels.horizon, 1)]
-        return _per_pair_from_pairs(1, pairs)
+def _per_pair_extended(labels):
+    """extend() by the per-pair route."""
+    return _per_pair_from_pairs(1, [(0.0, labels.start_state), *labels.jumps, (labels.horizon, 1)])
 
-    seg = _merged_segments(extended(truth), extended(estimate))
+
+def _per_gap_penalty(seq, lam, zeta):
+    short = 0
+    for a, b in zip(seq.jump_times, seq.jump_times[1:]):
+        if b - a < zeta:
+            short += 1
+    return lam * short
+
+
+def _per_segment_lts_measure(truth, estimate, params, metric):
+    dist = _per_segment_lts_distance(_per_pair_extended(truth), _per_pair_extended(estimate), params, metric)
+    return math.exp(-dist / truth.horizon - _per_gap_penalty(estimate.to_anchored(), params.lam, params.zeta))
+
+
+def _per_segment_accuracy(truth, estimate):
+    seg = _merged_segments(_per_pair_extended(truth), _per_pair_extended(estimate))
     mismatch = 0.0
     for i in range(1, len(seg.pairs) - 1):
         sf, sg = seg.pairs[i]
@@ -403,3 +423,61 @@ def test_segments_and_measures_match_per_segment_route():
         truth = Labels.from_pairs(horizon, 3, 1, f_pairs)
         estimate = Labels.from_pairs(horizon, 3, 2, g_pairs)
         assert accuracy(truth, estimate).hex() == _per_segment_accuracy(truth, estimate).hex()
+
+
+def test_measures_match_per_segment_route_on_hour_recording():
+    # A jump every 10 s for an hour against it under coarse noise: 359 against 4,134 jumps.
+    truth = Labels(3600.0, 3, 1, tuple((10.0 * i, i % 3 + 1) for i in range(1, 360)))
+    estimate = generate_noisy_labels(truth, NoiseModel(1.0, 0.8, seed=1))
+    assert len(estimate.jumps) > 4000
+    assert accuracy(truth, estimate).hex() == _per_segment_accuracy(truth, estimate).hex()
+    f, g = extend(truth), extend(estimate)
+    for metric in (DISCRETE, TABLE):
+        got = lts_measure(truth, estimate, LTS, metric).hex()
+        assert got == _per_segment_lts_measure(truth, estimate, LTS, metric).hex()
+        assert lts_distance(f, g, LTS, metric).hex() == _per_segment_lts_distance(f, g, LTS, metric).hex()
+        got = standard_distance(f, g, metric).hex()
+        assert got == _per_segment_standard_distance(f, g, metric).hex()
+
+
+EDGE_LABELS = {
+    "first jump near 0": Labels(10.0, 3, 2, ((5e-10, 3), (4.0, 1), (4.5, 2), (7.0, 1))),
+    "first jump near 0 from the fill": Labels(10.0, 3, 1, ((1e-9 - 1e-18, 2), (0.5, 3), (1.0, 1))),
+    "last jump near the horizon": Labels(10.0, 3, 1, ((3.0, 2), (3.5, 3), (10.0 - 5e-10, 2))),
+    "last jump near the horizon to the fill": Labels(10.0, 3, 2, ((2.0, 3), (10.0 - 3e-10, 1))),
+    "interior gaps below the tolerance": Labels(
+        10.0, 3, 1, ((2.0, 2), (2.0 + 3e-10, 3), (2.0 + 6e-10, 1), (2.5, 2), (2.5 + 9e-10, 3), (3.0, 1))
+    ),
+    "gaps at the tolerance": Labels(10.0, 3, 1, ((1e-9, 2), (1.0, 3), (1.0 + 1e-9, 2), (10.0 - 1e-9, 3))),
+    "no jumps": Labels(10.0, 3, 2),
+    "no jumps in the fill state": Labels(10.0, 3, 1),
+    "ends in the fill state": Labels(10.0, 3, 1, ((2.0, 2), (2.5, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LABELS))
+def test_extension_columns_equal_extend(name):
+    labels = EDGE_LABELS[name]
+    for fill in (1, 2, 3):
+        times, states = _extension(labels, fill)
+        want_times, want_states = _columns(extend(labels, fill))
+        assert times.tolist() == want_times.tolist() and states == want_states
+        assert [type(s) for s in states] == [type(s) for s in want_states]
+    ext = extend(labels)
+    assert (ext.initial_state, ext.jumps) == (1, _per_pair_extended(labels).jumps)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LABELS))
+def test_measures_on_edge_labels_match_per_segment_route(name):
+    labels = EDGE_LABELS[name]
+    other = Labels(10.0, 3, 2, ((1.0, 1), (1.5, 3), (9.0, 1)))
+    for truth, estimate in ((labels, other), (other, labels), (labels, labels)):
+        assert accuracy(truth, estimate).hex() == _per_segment_accuracy(truth, estimate).hex()
+        for metric in (DISCRETE, TABLE):
+            got = lts_measure(truth, estimate, LTS, metric).hex()
+            assert got == _per_segment_lts_measure(truth, estimate, LTS, metric).hex()
+    # zeta equal to gaps of the labels: a gap of exactly zeta is not short.
+    seq = labels.to_anchored()
+    gaps = np.diff(seq.jump_times).tolist()
+    for zeta in {0.5, 1e-9, *gaps} - {0.0}:
+        assert duration_penalty(seq, 0.25, zeta) == _per_gap_penalty(seq, 0.25, zeta)
