@@ -211,10 +211,12 @@ def extend(labels: Labels, fill_state: int = FILL_STATE) -> StateSequence:
     return StateSequence._from_columns(fill_state, times, states)
 
 
-def _extension(labels: Labels, fill_state: int = FILL_STATE) -> tuple[np.ndarray, list]:
+def _extension(labels: Labels, fill_state: int = FILL_STATE, times=None) -> tuple[np.ndarray, list]:
     """The :func:`~stateseq.sequence._columns` of ``extend(labels)``, built without
-    that sequence unless some of its jumps lie closer than ``TIME_MERGE_TOL``."""
-    times = np.array([0.0, *labels._times, labels.horizon], dtype=float)  # type: ignore[attr-defined]
+    that sequence unless some of its jumps lie closer than ``TIME_MERGE_TOL``.
+    ``times``, if given, is the array of 0, the jump times of ``labels`` and the horizon."""
+    if times is None:
+        times = np.array([0.0, *labels._times, labels.horizon], dtype=float)  # type: ignore[attr-defined]
     if not (np.diff(times) >= TIME_MERGE_TOL).all():
         return _columns(extend(labels, fill_state))  # some jumps merge
     states = [int(labels.start_state), *map(itemgetter(1), labels.jumps), int(fill_state)]
@@ -223,11 +225,12 @@ def _extension(labels: Labels, fill_state: int = FILL_STATE) -> tuple[np.ndarray
     return times[first : len(times) - last], [fill_state, *states[first : len(states) - last]]
 
 
-def _extended_joint(truth: Labels, estimate: Labels) -> tuple:
-    """The :func:`~stateseq.sequence._joint` of both extensions; ValueError if the horizons differ."""
+def _extended_joint(truth: Labels, estimate: Labels, estimate_times=None) -> tuple:
+    """The :func:`~stateseq.sequence._joint` of both extensions (``estimate_times``: see :func:`_extension`);
+    ValueError if the horizons differ."""
     if truth.horizon != estimate.horizon:
         raise ValueError(f"horizon mismatch: {truth.horizon} vs {estimate.horizon}")
-    return _joint(*_extension(truth), *_extension(estimate))
+    return _joint(*_extension(truth), *_extension(estimate, FILL_STATE, estimate_times))
 
 
 def lts_measure(
@@ -239,8 +242,9 @@ def lts_measure(
     duration penalty looks only at the estimate's interior transitions, so
     the artificial extension jumps at 0 and the horizon never count.
     """
-    dist = _integral(_extended_joint(truth, estimate), metric, params.w, params.sigma)
-    dp = duration_penalty(estimate.to_anchored(), params.lam, params.zeta)
+    times = np.array([0.0, *estimate._times, estimate.horizon], dtype=float)  # type: ignore[attr-defined]
+    dist = _integral(_extended_joint(truth, estimate, times), metric, params.w, params.sigma)
+    dp = params.lam * int(np.count_nonzero(np.diff(times[1:-1]) < params.zeta))  # as duration_penalty counts
     return math.exp(-dist / truth.horizon - dp)
 
 

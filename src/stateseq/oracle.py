@@ -207,22 +207,25 @@ def grid_gts(
     """Shifted-distance objective minimized over a regular grid of shifts.
 
     Always an upper bound for :func:`gts_distance`; converges to it as the
-    step shrinks.  Requires a finite shift window.
+    step shrinks.  Requires a finite shift window.  Every shift is evaluated
+    at once, without the standard distance: the sum over event pairs of
+    d(F_i, G_j) times the length of (F_i + eps) meeting G_j, +inf when two
+    unbounded events that share a side disagree.
     """
     if not grid_step > 0:
         raise ValueError("grid_step must be positive")
     if math.isinf(params.sigma):
         raise ValueError("grid evaluation needs a finite sigma")
+    if metric.d(f.initial_state, g.initial_state) > 0.0 or metric.d(f.final_state, g.final_state) > 0.0:
+        return math.inf  # an unbounded stretch disagrees at every shift
     steps = int(params.sigma / grid_step)
     offsets = grid_step * np.arange(1, steps + 1)
-    eps_values = np.concatenate((-offsets[::-1], [0.0], offsets, [-params.sigma, params.sigma]))
-    best = math.inf
-    for eps in eps_values:
-        eps = float(eps)
-        value = standard_distance(f.shifted(eps), g, metric) + params.w * abs(eps)
-        if value < best:
-            best = value
-    return best
+    eps = np.concatenate((-offsets[::-1], [0.0], offsets, [-params.sigma, params.sigma]))
+    # Every other pair with d > 0 meets on a finite stretch, if at all; pairs with d = 0 add nothing.
+    pairs = [(x.start, x.end, y.start, y.end, metric.d(x.state, y.state)) for x in f.events() for y in g.events()]
+    f_start, f_end, g_start, g_end, d = np.array([p for p in pairs if p[4] > 0.0]).reshape(-1, 5).T
+    meet = np.minimum(f_end[:, None] + eps, g_end[:, None]) - np.maximum(f_start[:, None] + eps, g_start[:, None])
+    return float(np.min(d @ np.maximum(meet, 0.0) + params.w * np.abs(eps)))
 
 
 def random_instance(

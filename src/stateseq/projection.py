@@ -29,9 +29,9 @@ gets the projection, cost and optima a pass over it alone gives; only the
 bound's rounding depends on the padded width, so a vertex whose bound lies
 within rounding of the cap may be kept in one batch and pruned in another,
 which moves ``candidates_kept`` but no answer.  A subproblem whose bound keeps
-at most one vertex is settled in bulk from its direct and one-jump paths,
-without the sweep; on 60 s fine-noise study draws at gamma 0.1 that is about
-three in four of them.
+at most two vertices is settled in bulk, without the sweep, unless it keeps
+two and two of its paths tie in cost; on 60 s fine-noise study draws at
+gamma 0.1 that is about nine in ten of them.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .sequence import (
     Labels,
     StateMetric,
     StateSequence,
+    _unchecked,
     standard_distance,
 )
 
@@ -122,13 +123,14 @@ def split_long_events(f: StateSequence, gamma: float, metric: StateMetric = DISC
 
 
 def _label_set(own: tuple[bool, ...], d: list[list[float]], labels) -> tuple:
-    """Rows, positions, states and largest distance of the labels kept for one set of own states:
+    """Mask, positions, states and largest distance of the labels kept for one set of own states:
     those and each state c that no own state s dominates (d(s, x) <= d(c, x) for every own x).
     """
     mine = [x for x, is_own in enumerate(own) if is_own]
     keep = [c for c, is_own in enumerate(own) if is_own or not any(all(d[o][x] <= d[c][x] for x in mine) for o in mine)]
     index = {c: i for i, c in enumerate(keep)}
-    return np.array(keep), index, [labels[c] for c in keep], max(d[a][b] for a in keep for b in keep)
+    mask = np.array([c in index for c in range(len(own))])
+    return mask, index, [labels[c] for c in keep], max(d[a][b] for a in keep for b in keep)
 
 
 # Jumps a run of several spans may pad to: bounds the temporaries of one build.
@@ -292,9 +294,9 @@ def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=No
     rows of many inputs.  The sorted ``labels`` (default: the inputs' states)
     are filtered by :func:`_label_set` once per distinct set of own states.
     :func:`_block` builds each run of :func:`_length_classes` when its first
-    core is asked for.  With ``settle``, each row that keeps at most one
-    vertex comes as its :class:`_Settled` answer (:func:`_settle`) instead,
-    unless its cost breaks the subproblem's invariants.
+    core is asked for.  With ``settle``, each row that :func:`_settle`
+    answers, most of those that keep at most two vertices, comes as its
+    :class:`_Settled` answer instead.
     """
     labels = tuple(sorted(set().union(*(f.states_used for f in fs)))) if labels is None else labels
     dist, sets = metric.matrix(labels), {}
@@ -311,7 +313,7 @@ def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=No
         block = _block(times, ev, first[group], n[group], dist, gamma, binary, metric)
         owns = [sets.get(o) or sets.setdefault(o, _label_set(o, d, labels)) for o in map(tuple, block.pop("own"))]
         _caps(block, [own[3] for own in owns], gamma)
-        settled = _settle(block, np.flatnonzero(block["kept"].sum(axis=1) <= 1), labels) if settle else {}
+        settled = _settle(block, owns, labels, gamma, binary) if settle else {}
         for r, s in enumerate(group):
             yield s, settled[r] if r in settled else _Core(block, r, owns[r], gamma, binary)
         del block, settled  # before the next run's build
@@ -327,38 +329,63 @@ class _Settled(NamedTuple):
     optima: tuple[StateSequence, ...] | None
 
 
-def _settle(block: dict, rows: np.ndarray, labels) -> dict[int, _Settled]:
-    """The answers of the given rows of ``block``, each keeping at most one vertex.
+def _settle(block: dict, owns: list, labels, gamma: float, binary: bool) -> dict[int, _Settled]:
+    """:meth:`_Core.settle`'s answers, bit for bit, for the rows of ``block`` that keep at most two vertices.
 
-    They are :meth:`_Core.settle`'s bit for bit, with no core.  With no kept
-    vertex, only the direct arc can reach the sink.  With one, j, the source
-    arc settles j, and the sink compares the direct arc against w_source[j] +
-    w_sink[j] as :func:`_choose` does: a cost within ``_tie_tol`` of the least
-    is tied, and the direct arc wins a tie, having fewer jumps.  A row whose
-    cost is above its cap or not finite is left out, so that its
-    :class:`_Core` raises what the solver raises.
+    Each vertex is settled as :meth:`_Core.solve_primary` settles it, with no
+    core: the first kept vertex, j1, by its source arc; the second, j2, by its
+    source arc and the arc from j1, admitted when t1 <= t2 - min_gap and a
+    label of the row's :func:`_label_set` passes the bucket filter, and costed
+    as :meth:`_Core._weight_single` costs it; the sink by the direct arc and
+    the paths through j1 and j2, as :func:`_choose` settles it.  A row that
+    keeps two vertices and has a tie at j2 or at the sink is left out, as is a
+    row whose cost is above its cap or not finite, so that its :class:`_Core`
+    raises what the solver raises.
     """
-    kept = block["kept"][rows]
-    one, j = kept.any(axis=1), kept.argmax(axis=1)  # j + 1: the kept vertex, if any
-    via = np.where(one, block["w_source"][rows, j] + block["w_sink"][rows, j], INF)
-    direct = 0.0 + np.array(block["w_direct"])[rows]
-    best = np.minimum(direct, via)
-    near = best + COST_TOL * np.maximum(1.0, np.abs(best))
-    jump = ~(direct <= near)
-    cost = np.where(jump, via, direct)
-    tied = ~jump & (via <= near)
-    ok = (cost <= np.array(block["cap"])[rows]) & np.isfinite(cost)
-    out = {}
+    min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
+    count = block["kept"].sum(axis=1)
+    rows = np.flatnonzero(count <= (2 if min_gap > 0 else 1))  # else solve_primary never admits j1 into j2
+    kept, count, at = block["kept"][rows], count[rows], np.arange(len(rows))
+    a, b = kept.argmax(axis=1), kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)  # j1 - 1 and j2 - 1
+    t1, t2 = block["times"][rows, a + 1], block["times"][rows, b + 1]
+    w_source, w_sink = block["w_source"][rows], block["w_sink"][rows]
+    inset = np.zeros((len(rows), len(labels)), bool)  # the labels of each row's label set, if it keeps two vertices
+    if (count == 2).any():
+        inset[count == 2] = [owns[r][0] for r in rows[count == 2].tolist()]
+    enter, admit = block["enter"][rows, :, b], block["admit"][rows, :, a]
+    dist1 = np.where(count > 0, 0.0 + w_source[at, a], INF)
+    v = (dist1 - t1)[:, None] + admit  # j1's bucket entries
+    tops = np.where(inset & (v < INF) & (t1 <= t2 - min_gap)[:, None], v + ((gamma + t2)[:, None] - enter), INF)
+    lo = np.minimum(w_source[at, b], tops.min(axis=1))
+    cut = lo + np.array(block["slack"])[rows]
+    gain = np.where(inset, enter - admit, -INF)
+    x = np.stack((0.0 + w_source[at, b], dist1 + (((t2 - t1)[:, None] - gain).min(axis=1) + gamma)), 1)
+    cands = np.stack((w_source[at, b] <= cut, (tops <= cut[:, None]).any(axis=1)), 1)
+    x = np.where(cands & ((lo < INF) & (count == 2))[:, None], x, INF)  # j2's path costs from the source and j1
+    dist2 = x.min(axis=1)
+    tie2 = (x <= (dist2 + COST_TOL * np.maximum(1.0, np.abs(dist2)))[:, None]).all(axis=1)
+    via = np.stack((0.0 + np.array(block["w_direct"])[rows], dist1 + w_sink[at, a], dist2 + w_sink[at, b]), 1)
+    low = via.min(axis=1)
+    tied = via <= (low + COST_TOL * np.maximum(1.0, np.abs(low)))[:, None]
+    pick = tied.argmax(axis=1)  # the direct arc, else j1, else j2
+    cost = via[at, pick]
+    ok = (cost <= np.array(block["cap"])[rows]) & np.isfinite(cost) & ((count < 2) | ~tie2 & (tied.sum(axis=1) == 1))
+    out, k, c0, cn = {}, block["k"], block["c0"], block["cn"]
     stays = {c: StateSequence(c) for c in labels}  # one immutable no-jump answer per label
-    at = block["times"][rows, j + 1].tolist()  # the kept vertex's time
-    for r, t, x, moves, tie, has in itertools.compress(
-        zip(rows.tolist(), at, cost.tolist(), jump.tolist(), tied.tolist(), one.tolist()), ok.tolist()
+    ends, via_j1, j1_at = np.where(pick > 1, t2, t1).tolist(), (x[:, 1] < x[:, 0]).tolist(), t1.tolist()
+    between = gain.argmax(axis=1).tolist()  # the first label of the largest gain, as arc_state takes it
+    ties = tied[:, :2].all(axis=1).tolist()  # the direct arc and j1
+    for r, i, t, c, p, n, j1, tie in itertools.compress(
+        zip(rows.tolist(), at.tolist(), ends, cost.tolist(), pick.tolist(), count.tolist(), via_j1, ties), ok.tolist()
     ):
-        a, b = labels[block["c0"][r]], labels[block["cn"][r]]
-        stay = stays[a]
-        move = StateSequence(a, ((t, b),)) if a != b else stay  # as from_pairs builds it
-        primary = move if moves else stay
-        out[r] = _Settled(block["k"][r], int(has), x, primary, _distinct((stay, move)) if tie else (primary,))
+        s0, sn = labels[c0[r]], labels[cn[r]]
+        stay = stays[s0]
+        # The answer through one kept vertex, as from_pairs builds it.
+        move = _unchecked(StateSequence, initial_state=s0, jumps=((t, sn),), _times=(t,)) if s0 != sn else stay
+        if p == 2 and j1:
+            move = StateSequence._from_columns(s0, [j1_at[i], t], [labels[between[i]], sn])
+        primary = move if p else stay
+        out[r] = _Settled(k[r], n, c, primary, _distinct((stay, move)) if tie else (primary,))
     return out
 
 
@@ -841,8 +868,8 @@ def project_many(
 def _project_with(solve, fs, gamma, metric, binary, all_optimal) -> list[ProjectionResult]:
     """:func:`project_many`, each subproblem settled by ``solve(core)``.
 
-    With ``solve`` None, subproblems that keep at most one vertex are settled
-    in bulk (:func:`_settle`) and the others by :meth:`_Core.solve_primary`.
+    With ``solve`` None, most subproblems that keep at most two vertices are
+    settled in bulk (:func:`_settle`) and the others by :meth:`_Core.solve_primary`.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and nonnegative")

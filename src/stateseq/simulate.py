@@ -11,21 +11,21 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import LtsParams, accuracy, lts_measure
 from .projection import project_many
-from .sequence import Labels
+from .sequence import INF, Labels, StateSequence
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), per-replication seed = seed + replication index"
 
 # Replications drawn, projected and scored together by run_sweep.  Sharing
-# table builds stops paying at about 32 draws (3-gamma projection of 60 s
-# study draws on a 2-vCPU Xeon VM: 11.1 ms a draw alone, 6.1 in batches of 8,
-# 5.5 in batches of 32 or 128), while each draw held costs 0.15-0.2 MiB: a
+# table builds pays little past about 32 draws (3-gamma projection of 60 s
+# study draws on a 2-vCPU Xeon VM: 5.3 ms a draw alone, 2.9 in batches of 8,
+# 2.7 of 32, 2.5 of 128), while each draw held costs 0.15-0.2 MiB: a
 # 1,000-replication sweep peaks at 45 MiB in chunks of 32, 176 MiB in one.
 SWEEP_CHUNK = 32
 
@@ -68,30 +68,44 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
 
     Spells are drawn as correct, incorrect, correct, ... until they cover
     the horizon (the last one is clipped).  The wrong state is drawn
-    uniformly from the other states at the spell's start and held for the
-    whole spell even if the base moves on meanwhile.
+    uniformly from the other states 1..n_states at the spell's start and
+    held for the whole spell even if the base moves on meanwhile.  One
+    forward index walks the base jumps; the result is ``Labels.from_pairs``
+    of the pairs (spell start, its state) and of the base jumps inside each
+    correct spell, so the pairs at t = 0 set the start state.
     """
     rng = np.random.default_rng(model.seed)
-    horizon = base.horizon
-    times = [jt for jt, _ in base.jumps]
-    pairs: list[tuple[float, int]] = []
-    t = 0.0
-    correct = True
+    exponential, integers = rng.exponential, rng.integers
+    mu_correct, mu_incorrect = model.mu_correct, model.mu_incorrect
+    horizon, n = base.horizon, base.n_states
+    base_times = [*map(float, base._times), INF]  # type: ignore[attr-defined]  # INF: past every spell
+    base_states = [int(base.start_state), *(int(s) for _, s in base.jumps)]  # the state after i jumps
+    times: list[float] = []
+    states: list[int] = []
+    i, t, correct = 0, 0.0, True
     while t < horizon:
+        while base_times[i] <= t:
+            i += 1
+        current = base_states[i]
+        times.append(t)
         if correct:
-            span = rng.exponential(model.mu_correct)
-            pairs.append((t, base.state_at(t)))  # at t = 0 it restates the start state
-            end = min(t + span, horizon)
-            pairs.extend(base.jumps[bisect_right(times, t) : bisect_left(times, end)])
+            span = exponential(mu_correct)
+            states.append(current)
+            end, first = min(t + span, horizon), i
+            while base_times[i] < end:
+                i += 1
+            if i > first:
+                times += base_times[first:i]
+                states += base_states[first + 1 : i + 1]
         else:
-            span = rng.exponential(model.mu_incorrect)
-            current = base.state_at(t)
-            others = [s for s in range(1, base.n_states + 1) if s != current]
-            wrong = others[int(rng.integers(0, len(others)))]
-            pairs.append((t, wrong))
+            span = exponential(mu_incorrect)
+            # Entry r - 1 of the states 1..n other than the current one.
+            r = int(integers(0, n - (0 < current <= n))) + 1
+            states.append(r + (r >= current > 0))
         t += span
         correct = not correct
-    return Labels.from_pairs(horizon, base.n_states, base.start_state, pairs)
+    k = bisect_right(times, 0.0)  # the pairs at t = 0; the last of them is the start state
+    return Labels._within(horizon, n, StateSequence._from_columns(states[k - 1], times[k:], states[k:]))
 
 
 def default_base_labels() -> Labels:

@@ -890,6 +890,9 @@ def _study_draws(count, seed, base=None):
 
 BINARY_BASE = Labels(60.0, 2, 1, ((5.0, 2), (15.0, 1), (30.0, 2), (40.0, 1), (55.0, 2)))
 
+# Close to the discrete metric, so its study draws split into small subproblems.
+NEAR_DISCRETE = TableMetric([[0, 1, 0.9], [1, 0, 0.95], [0.9, 0.95, 0]])
+
 
 class TestProjectMany:
     # One pass over many inputs must give each input what a pass over it
@@ -953,13 +956,16 @@ class TestProjectMany:
 
 
 class TestSettledRows:
-    # Subproblems that keep at most one vertex are settled in bulk, with no
-    # core; reference_project still settles each of them by the per-column DP.
+    # Subproblems that keep at most two vertices are settled in bulk, with no
+    # core, unless a tie needs the solver's record; reference_project still
+    # settles each of them by the per-column DP.
     @staticmethod
-    def _settled(f, gamma):
-        spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma)]
-        rows = _cores([f], [spans], gamma, DISCRETE, False, settle=True)
-        return [row for _, row in rows if isinstance(row, _Settled)]
+    def _rows(f, gamma, metric=DISCRETE, binary=False):
+        spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
+        return [row for _, row in _cores([f], [spans], gamma, metric, binary, settle=True)]
+
+    def _settled(self, f, gamma, metric=DISCRETE, binary=False):
+        return [row for row in self._rows(f, gamma, metric, binary) if isinstance(row, _Settled)]
 
     def test_rows_with_zero_or_one_kept_vertex_match_reference(self):
         for f in _study_draws(3, seed=80):
@@ -1000,6 +1006,58 @@ class TestSettledRows:
         for row in ties:
             assert row.primary.n_jumps == 0 and row.optima[0] == row.primary and row.optima[1].n_jumps == 1
             assert row.kept == 1
+
+    @pytest.mark.parametrize("setting", ["discrete", "binary", "table"])
+    def test_rows_with_two_kept_vertices_match_reference_and_solver(self, setting):
+        metric, binary, base = {
+            "discrete": (DISCRETE, False, None),
+            "binary": (DISCRETE, True, BINARY_BASE),
+            "table": (NEAR_DISCRETE, False, None),
+        }[setting]
+        fs = _study_draws(3, seed=83, base=base)
+        kept = [row.kept for f in fs for row in self._settled(f, 0.1, metric, binary)]
+        assert kept.count(2) > 5
+        for f in fs:
+            fast = project(f, 0.1, metric, binary=binary, all_optimal=True)
+            solver = _project_with(projection._Core.solve_primary, [f], 0.1, metric, binary, True)[0]
+            for slow in (reference_project(f, 0.1, metric, binary=binary), solver):
+                assert fast.cost.hex() == slow.cost.hex()
+                assert fast.projected == slow.projected and fast.optima == slow.optima
+                assert (fast.candidates, fast.candidates_kept) == (slow.candidates, slow.candidates_kept)
+
+    def test_a_tie_on_a_two_vertex_row_leaves_it_to_the_solver(self, monkeypatch):
+        # A few rows with two kept vertices j1 < j2 and no direct arc get one
+        # that costs exactly what their optimal path, through j1 and j2,
+        # costs.  The tie at the sink must send them to the solver, which
+        # lists both answers.
+        f = _study_draws(1, seed=84)[0]
+        costs = {row.primary.jump_times: row.cost for row in self._settled(f, 0.1) if row.kept == 2}
+        caps, tied = projection._caps, []
+
+        def with_ties(block, d_max, gamma):
+            caps(block, d_max, gamma)
+            for r in np.flatnonzero(block["kept"].sum(axis=1) == 2).tolist():
+                at = tuple(block["times"][r, np.flatnonzero(block["kept"][r]) + 1].tolist())
+                if len(tied) < 3 and block["c0"][r] != block["cn"][r] and at in costs:
+                    block["w_direct"][r] = costs[at]
+                    tied.append(r)
+
+        untied = len(project(f, 0.1, all_optimal=True).optima)
+        monkeypatch.setattr(projection, "_caps", with_ties)
+        fast = project(f, 0.1, all_optimal=True)
+        assert len(tied) == 3 and len(fast.optima) == 8 * untied
+        tied.clear()  # the same rows again, on the reference route
+        slow = reference_project(f, 0.1)
+        assert fast.cost.hex() == slow.cost.hex()
+        assert fast.projected == slow.projected and fast.optima == slow.optima
+        tied.clear()
+        rows = self._rows(f, 0.1)
+        cores = [row for row in rows if isinstance(row, projection._Core) and row.w_direct < INF and row.c0 != row.cn]
+        assert len(cores) == 3
+        for core in cores:
+            answer = core.settle(projection._Core.solve_primary, True)
+            assert answer.kept == 2 and answer.primary.n_jumps == 0
+            assert len(answer.optima) == 2 and answer.optima[0] == answer.primary and answer.optima[1].n_jumps == 2
 
     @pytest.mark.parametrize("cap, message", [(0.0, "Potts bound"), (INF, "sink unreachable")])
     @pytest.mark.parametrize("route", ["bulk", "solver"])

@@ -16,6 +16,7 @@ from stateseq import (
     project_labels,
     run_sweep,
 )
+from stateseq import simulate
 from stateseq.simulate import SWEEP_CHUNK, _mean_se
 
 
@@ -87,6 +88,57 @@ class TestNoiseModel:
         for mu_correct, mu_incorrect, seed in ((1.0, 0.8, 1), (0.1, 0.08, 2)):
             model = NoiseModel(mu_correct, mu_incorrect, seed=seed)
             assert generate_noisy_labels(base, model) == _noisy_by_full_scan(base, model)
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            Labels(20.0, 2, 1, ((5.0, 2), (12.0, 1), (12.5, 2))),
+            Labels(20.0, 5, 3, ((2.0, 5), (7.5, 1), (9.0, 4), (15.0, 2))),
+            Labels(20.0, 3, 2),
+            Labels(0.01, 3, 1, ((0.004, 3),)),  # shorter than most correct spells
+            Labels(20.0, 3, 7, ((4.0, 2), (8.0, 0), (13.0, 3))),  # states 7 and 0 lie outside 1..3
+        ],
+        ids=["two-states", "five-states", "no-jumps", "short-horizon", "outside-states"],
+    )
+    def test_matches_full_scan_of_base_jumps_on_small_bases(self, base):
+        for mu_correct, mu_incorrect in ((0.1, 0.08), (1.0, 0.8), (3.0, 0.5)):
+            for seed in range(4):
+                model = NoiseModel(mu_correct, mu_incorrect, seed=seed)
+                assert generate_noisy_labels(base, model) == _noisy_by_full_scan(base, model)
+        if base.horizon < 0.1:  # one spell covers the recording
+            assert generate_noisy_labels(base, NoiseModel(1.0, 0.8, seed=0)) == base
+
+    def test_draws_the_same_random_numbers_as_the_full_scan(self, monkeypatch):
+        # The PCG64 stream is pinned: the same generator calls, arguments and order.
+        calls = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                calls.append(("default_rng", (seed,), {}))
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def call(*args, **kwargs):
+                    calls.append((name, args, kwargs))
+                    return method(*args, **kwargs)
+
+                return call
+
+        def recorded(generate, base, model):
+            calls.clear()
+            labels = generate(base, model)
+            return labels, [(name, args, tuple(map(type, args)), kwargs) for name, args, kwargs in calls]
+
+        monkeypatch.setattr(simulate.np.random, "default_rng", Recording)
+        for base in (default_base_labels(), Labels(20.0, 3, 7, ((4.0, 2), (8.0, 0), (13.0, 3)))):
+            for seed in range(3):
+                model = NoiseModel(0.1, 0.08, seed=seed)
+                ours, drawn = recorded(generate_noisy_labels, base, model)
+                assert (ours, drawn) == recorded(_noisy_by_full_scan, base, model)
+                assert len(drawn) > 100
 
     def test_wrong_state_stays_in_alphabet(self):
         base = default_base_labels()
