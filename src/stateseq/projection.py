@@ -29,9 +29,9 @@ gets the projection, cost and optima a pass over it alone gives; only the
 bound's rounding depends on the padded width, so a vertex whose bound lies
 within rounding of the cap may be kept in one batch and pruned in another,
 which moves ``candidates_kept`` but no answer.  A subproblem whose bound keeps
-at most two vertices is settled in bulk, without the sweep, unless it keeps
-two and two of its paths tie in cost; on 60 s fine-noise study draws at
-gamma 0.1 that is about nine in ten of them.
+at most ``BULK_VERTICES`` vertices skips the sweep: one DP over the kept vertices
+settles all such rows of a run at once, column by column, ties included, unless
+all optima are asked for and two of its paths tie.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .sequence import (
     COST_TOL,
     DISCRETE,
     INF,
+    TIME_MERGE_TOL,
     DiscreteMetric,
     Labels,
     StateMetric,
@@ -285,7 +286,7 @@ def _caps(block: dict, d_max: list[float], gamma: float) -> None:
     block["slack"], block["cap"] = slack.tolist(), cap.tolist()
 
 
-def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=None, settle: bool = False):
+def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=None, settle=False, all_optimal=False):
     """(index, :class:`_Core`) for each jump span of each input, from one table build per run.
 
     ``spans[i]`` lists the spans (first, last) of ``fs[i]``; a core's index is
@@ -294,9 +295,9 @@ def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=No
     rows of many inputs.  The sorted ``labels`` (default: the inputs' states)
     are filtered by :func:`_label_set` once per distinct set of own states.
     :func:`_block` builds each run of :func:`_length_classes` when its first
-    core is asked for.  With ``settle``, each row that :func:`_settle`
-    answers, most of those that keep at most two vertices, comes as its
-    :class:`_Settled` answer instead.
+    core is asked for.  With ``settle``, the rows :func:`_bulk` answers come
+    as their :class:`_Settled` answers instead; under ``all_optimal`` a row
+    with a tie stays a core, for the solver's record of its ties.
     """
     labels = tuple(sorted(set().union(*(f.states_used for f in fs)))) if labels is None else labels
     dist, sets = metric.matrix(labels), {}
@@ -313,7 +314,7 @@ def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=No
         block = _block(times, ev, first[group], n[group], dist, gamma, binary, metric)
         owns = [sets.get(o) or sets.setdefault(o, _label_set(o, d, labels)) for o in map(tuple, block.pop("own"))]
         _caps(block, [own[3] for own in owns], gamma)
-        settled = _settle(block, owns, labels, gamma, binary) if settle else {}
+        settled = _bulk(block, owns, labels, gamma, binary, all_optimal) if settle else {}
         for r, s in enumerate(group):
             yield s, settled[r] if r in settled else _Core(block, r, owns[r], gamma, binary)
         del block, settled  # before the next run's build
@@ -329,63 +330,69 @@ class _Settled(NamedTuple):
     optima: tuple[StateSequence, ...] | None
 
 
-def _settle(block: dict, owns: list, labels, gamma: float, binary: bool) -> dict[int, _Settled]:
-    """:meth:`_Core.settle`'s answers, bit for bit, for the rows of ``block`` that keep at most two vertices.
+# Rows keeping at most this many vertices go to :func:`_bulk`; its int64 keys hold (w + 2) << w up to 57.
+BULK_VERTICES = 32
 
-    Each vertex is settled as :meth:`_Core.solve_primary` settles it, with no
-    core: the first kept vertex, j1, by its source arc; the second, j2, by its
-    source arc and the arc from j1, admitted when t1 <= t2 - min_gap and a
-    label of the row's :func:`_label_set` passes the bucket filter, and costed
-    as :meth:`_Core._weight_single` costs it; the sink by the direct arc and
-    the paths through j1 and j2, as :func:`_choose` settles it.  A row that
-    keeps two vertices and has a tie at j2 or at the sink is left out, as is a
-    row whose cost is above its cap or not finite, so that its :class:`_Core`
-    raises what the solver raises.
+
+def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optimal: bool) -> dict[int, _Settled]:
+    """:meth:`_Core.settle`'s answers, bit for bit, for the rows of ``block`` that keep at most ``BULK_VERTICES``
+    vertices: the DP over their kept vertices, column by column, all rows at once.
+
+    Its arcs are :meth:`_Core.column`'s: k -> j is admitted when t_k <= t_j - min_gap and costed as in
+    :meth:`_Core._weight_single`.  Each vertex chooses as :func:`_choose` does: the candidates within
+    ``_tie_tol`` of the least cost tie, fewer jumps win, then the earlier path, which holds the lowest vertex
+    of the two paths' symmetric difference (:func:`_first_path`): its mask, earlier vertices in higher bits,
+    is larger.  Left to the solver are all rows when min_gap <= 0 (it then admits no kept vertex), rows
+    whose cost is above the cap or not finite, so that it raises, and under ``all_optimal`` tied rows.
     """
     min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
     count = block["kept"].sum(axis=1)
-    rows = np.flatnonzero(count <= (2 if min_gap > 0 else 1))  # else solve_primary never admits j1 into j2
-    kept, count, at = block["kept"][rows], count[rows], np.arange(len(rows))
-    a, b = kept.argmax(axis=1), kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)  # j1 - 1 and j2 - 1
-    t1, t2 = block["times"][rows, a + 1], block["times"][rows, b + 1]
-    w_source, w_sink = block["w_source"][rows], block["w_sink"][rows]
-    inset = np.zeros((len(rows), len(labels)), bool)  # the labels of each row's label set, if it keeps two vertices
-    if (count == 2).any():
-        inset[count == 2] = [owns[r][0] for r in rows[count == 2].tolist()]
-    enter, admit = block["enter"][rows, :, b], block["admit"][rows, :, a]
-    dist1 = np.where(count > 0, 0.0 + w_source[at, a], INF)
-    v = (dist1 - t1)[:, None] + admit  # j1's bucket entries
-    tops = np.where(inset & (v < INF) & (t1 <= t2 - min_gap)[:, None], v + ((gamma + t2)[:, None] - enter), INF)
-    lo = np.minimum(w_source[at, b], tops.min(axis=1))
-    cut = lo + np.array(block["slack"])[rows]
-    gain = np.where(inset, enter - admit, -INF)
-    x = np.stack((0.0 + w_source[at, b], dist1 + (((t2 - t1)[:, None] - gain).min(axis=1) + gamma)), 1)
-    cands = np.stack((w_source[at, b] <= cut, (tops <= cut[:, None]).any(axis=1)), 1)
-    x = np.where(cands & ((lo < INF) & (count == 2))[:, None], x, INF)  # j2's path costs from the source and j1
-    dist2 = x.min(axis=1)
-    tie2 = (x <= (dist2 + COST_TOL * np.maximum(1.0, np.abs(dist2)))[:, None]).all(axis=1)
-    via = np.stack((0.0 + np.array(block["w_direct"])[rows], dist1 + w_sink[at, a], dist2 + w_sink[at, b]), 1)
-    low = via.min(axis=1)
-    tied = via <= (low + COST_TOL * np.maximum(1.0, np.abs(low)))[:, None]
-    pick = tied.argmax(axis=1)  # the direct arc, else j1, else j2
-    cost = via[at, pick]
-    ok = (cost <= np.array(block["cap"])[rows]) & np.isfinite(cost) & ((count < 2) | ~tie2 & (tied.sum(axis=1) == 1))
-    out, k, c0, cn = {}, block["k"], block["c0"], block["cn"]
-    stays = {c: StateSequence(c) for c in labels}  # one immutable no-jump answer per label
-    ends, via_j1, j1_at = np.where(pick > 1, t2, t1).tolist(), (x[:, 1] < x[:, 0]).tolist(), t1.tolist()
-    between = gain.argmax(axis=1).tolist()  # the first label of the largest gain, as arc_state takes it
-    ties = tied[:, :2].all(axis=1).tolist()  # the direct arc and j1
-    for r, i, t, c, p, n, j1, tie in itertools.compress(
-        zip(rows.tolist(), at.tolist(), ends, cost.tolist(), pick.tolist(), count.tolist(), via_j1, ties), ok.tolist()
-    ):
-        s0, sn = labels[c0[r]], labels[cn[r]]
-        stay = stays[s0]
-        # The answer through one kept vertex, as from_pairs builds it.
-        move = _unchecked(StateSequence, initial_state=s0, jumps=((t, sn),), _times=(t,)) if s0 != sn else stay
-        if p == 2 and j1:
-            move = StateSequence._from_columns(s0, [j1_at[i], t], [labels[between[i]], sn])
-        primary = move if p else stay
-        out[r] = _Settled(k[r], n, c, primary, _distinct((stay, move)) if tie else (primary,))
+    rows = np.flatnonzero(count <= BULK_VERTICES) if min_gap > 0 else np.arange(0)
+    rows = rows[np.argsort(-count[rows], kind="stable")]  # so the rows that keep vertex j come first
+    count, at, ar, w = count[rows], rows[:, None], np.arange(len(rows)), int(count[rows].max(initial=0))
+    valid, reach = np.arange(w) < count[:, None], np.searchsorted(-count, -np.arange(w + 2), side="right").tolist()
+    col = np.where(valid, np.argsort(~block["kept"][rows], axis=1, kind="stable")[:, :w], 0)  # of kept vertex p + 1
+    t, m = block["times"][at, col + 1], int((count > 1).sum())  # rows from m on have no arc between kept vertices
+    cell = (at[:m, :, None], np.arange(len(labels))[:, None], col[:m, None])  # gain[:, c, k, j] for label c, k -> j
+    inset = np.array([owns[r][0] for r in rows[:m].tolist()], bool).reshape(m, len(labels), 1, 1)
+    gain = block["enter"][cell][:, :, None, :] - block["admit"][cell][:, :, :, None]
+    np.copyto(gain, -INF, where=~inset)
+    admitted = valid[:m, :, None] & valid[:m, None] & (t[:m, :, None] <= t[:m, None, :] - min_gap)
+    # Vertex 0 is the source, p + 1 kept vertex p and w + 1 the sink; weight[:, a, b] is arc a -> b.
+    weight, arc = np.full((len(rows), w + 2, w + 2), INF), np.zeros((len(rows), w, w), np.int64)
+    arc[:m] = gain.argmax(axis=1)
+    arcs = np.subtract((t[:m, None, :] - t[:m, :, None])[:, None], gain, out=gain)  # (t_j - t_k) - gain, in place
+    weight[:m, 1:-1, 1:-1] = np.where(admitted, arcs.min(axis=1) + gamma, INF)
+    weight[:, 0, 1:-1] = np.where(valid, block["w_source"][at, col], INF)
+    weight[:, 1:-1, -1] = np.where(valid, block["w_sink"][at, col], INF)
+    weight[:, 0, -1] = np.array(block["w_direct"])[rows]
+    # A vertex's key ranks its path as _choose does: (w + 2 - jumps) << w, plus its mask.
+    dist, key, tie = np.full((len(rows), w + 2), INF), np.zeros((len(rows), w + 2), np.int64), np.zeros(len(rows), bool)
+    dist[:, 0], key[:, 0] = 0.0, (w + 2) << w
+    for j, live in enumerate(reach[1:-1] + [len(rows)], 1):  # vertex j, for the rows that keep it, then the sink
+        cost = dist[:live, :j] + weight[:live, :j, j]
+        low = cost.min(axis=1)
+        tied = cost <= (low + COST_TOL * np.maximum(1.0, np.abs(low)))[:, None]
+        pick = np.where(tied, key[:live, :j], -1).argmax(axis=1)
+        if all_optimal:
+            tie[:live] |= (low < INF) & (tied.sum(axis=1) > 1)
+        dist[:live, j], key[:live, j] = cost[ar[:live], pick], key[ar[:live], pick] + ((1 << max(w - j, 0)) - (1 << w))
+    ok = np.isfinite(dist[:, -1]) & (dist[:, -1] <= np.array(block["cap"])[rows]) & ~tie
+    # The mask of the sink's parent holds the primary's vertices.  Each jumps to the state
+    # of the arc to the next, the first label of its largest gain as :meth:`_Core.arc_state`
+    # takes it, and the last to the sink's; from_pairs merges nothing in a row marked clean.
+    r, p = np.nonzero(key[ar, pick][:, None] >> np.arange(w - 1, -1, -1) & 1)
+    last, c0 = np.append(r[1:] != r[:-1], True), np.array(block["c0"])[rows]
+    state = np.where(last, np.array(block["cn"])[rows][r], arc[r, p, np.append(p[1:], 0)])
+    close = ~(np.diff(t[r, p], prepend=-INF) >= TIME_MERGE_TOL) | (state == np.append(-1, state[:-1]))
+    clean = np.bincount(r[np.where(np.append(True, last[:-1]), state == c0[r], close)], minlength=len(rows)) == 0
+    ts, ss, c0 = t[r, p].tolist(), np.array(labels)[state].tolist(), np.array(labels)[c0].tolist()
+    jumps, out, ends = list(zip(ts, ss)), {}, np.searchsorted(r, ar, side="right").tolist()
+    fields = zip(rows.tolist(), count.tolist(), dist[:, -1].tolist(), [0, *ends], ends, c0, clean.tolist())
+    for row, n, x, a, b, s0, fine in itertools.compress(fields, ok):
+        primary = (_unchecked(StateSequence, initial_state=s0, jumps=tuple(jumps[a:b]), _times=tuple(ts[a:b])) if fine
+                   else StateSequence._from_columns(s0, ts[a:b], ss[a:b]))
+        out[row] = _Settled(block["k"][row], n, x, primary, (primary,) if all_optimal else None)
     return out
 
 
@@ -707,14 +714,11 @@ def _choose(j: int, cost: dict[int, float], dist, parent, njumps, ties: dict[int
     dist[j], parent[j], njumps[j] = cost[k], k, njumps[k] + 1
 
 
-_UNREACHABLE = "sink unreachable; the graph violates its construction invariants"
-
-
 def _path(parent, dist) -> tuple[tuple[int, ...], float]:
     """Source-to-sink vertex path through the parent table, and its cost."""
     sink = len(dist) - 1
     if not math.isfinite(dist[sink]):
-        raise RuntimeError(_UNREACHABLE)
+        raise RuntimeError("sink unreachable; the graph violates its construction invariants")
     path = [sink]
     while path[-1] > 0:
         path.append(int(parent[path[-1]]))
@@ -809,16 +813,12 @@ def _reassemble(f: StateSequence, spans: list[tuple[int, int]], solved: list[Sta
     return StateSequence.from_pairs(f.initial_state, pairs)
 
 
-def _seq_sort_key(seq: StateSequence):
-    return (seq.n_jumps, seq.jump_times, tuple(s for _, s in seq.jumps))
-
-
 def _distinct(seqs) -> tuple[StateSequence, ...]:
     """The distinct sequences, sorted by jump count, then jump times, then states."""
     seen: dict[tuple, StateSequence] = {}
     for seq in seqs:
         seen.setdefault((seq.initial_state, seq.jumps), seq)
-    return tuple(sorted(seen.values(), key=_seq_sort_key))
+    return tuple(sorted(seen.values(), key=lambda seq: (seq.n_jumps, seq.jump_times, tuple(s for _, s in seq.jumps))))
 
 
 def project(
@@ -868,8 +868,8 @@ def project_many(
 def _project_with(solve, fs, gamma, metric, binary, all_optimal) -> list[ProjectionResult]:
     """:func:`project_many`, each subproblem settled by ``solve(core)``.
 
-    With ``solve`` None, most subproblems that keep at most two vertices are
-    settled in bulk (:func:`_settle`) and the others by :meth:`_Core.solve_primary`.
+    With ``solve`` None, most subproblems that keep at most ``BULK_VERTICES`` vertices
+    are settled in bulk (:func:`_bulk`) and the others by :meth:`_Core.solve_primary`.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError("gamma must be finite and nonnegative")
@@ -890,7 +890,7 @@ def _project_with(solve, fs, gamma, metric, binary, all_optimal) -> list[Project
     for labels, members in groups.items():
         done: list = [None] * sum(len(spans[i]) for i in members)
         inputs, their_spans = [fs[i] for i in members], [spans[i] for i in members]
-        rows = _cores(inputs, their_spans, gamma, metric, binary, labels, settle=solve is None)
+        rows = _cores(inputs, their_spans, gamma, metric, binary, labels, solve is None, all_optimal)
         for s, core in rows:  # in run order; each run's tables go once its rows are settled
             done[s] = core if isinstance(core, _Settled) else core.settle(solve or _Core.solve_primary, all_optimal)
         pos = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import eq, gt, itemgetter, le, lt, ne, sub
 from typing import Iterable, Sequence
@@ -222,10 +223,9 @@ class StateSequence:
     def final_state(self) -> int:
         return self.jumps[-1][1] if self.jumps else self.initial_state
 
-    @property
+    @cached_property
     def states_used(self) -> tuple[int, ...]:
-        seen = {self.initial_state} | {s for _, s in self.jumps}
-        return tuple(sorted(seen))
+        return tuple(sorted({self.initial_state} | {s for _, s in self.jumps}))
 
     def state_at(self, t: float) -> int:
         """Value at time t (right-continuous at jumps)."""

@@ -27,6 +27,7 @@ from stateseq import projection
 from stateseq.io import format_labels
 from stateseq.oracle import _reference_tables, brute_force_project, random_instance, reference_project
 from stateseq.projection import (
+    BULK_VERTICES,
     GAP_TOL,
     RUN_JUMPS,
     ProjectionGraph,
@@ -956,30 +957,95 @@ class TestProjectMany:
 
 
 class TestSettledRows:
-    # Subproblems that keep at most two vertices are settled in bulk, with no
-    # core, unless a tie needs the solver's record; reference_project still
-    # settles each of them by the per-column DP.
+    # Subproblems that keep at most BULK_VERTICES vertices are settled by one
+    # DP over the rows of a build, with no core, unless all optima are asked
+    # for and the row has a tie; reference_project still settles each of them
+    # by the per-column DP.  The counts below are of such bulk rows: those
+    # that keep 3..BULK_VERTICES vertices, and those that tie, which come as
+    # cores once all optima are asked for.
     @staticmethod
-    def _rows(f, gamma, metric=DISCRETE, binary=False):
-        spans = [(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)]
-        return [row for _, row in _cores([f], [spans], gamma, metric, binary, settle=True)]
+    def _rows(fs, gamma, metric=DISCRETE, binary=False, all_optimal=False):
+        spans = [[(sub.first_jump, sub.last_jump) for sub in split_long_events(f, gamma, metric)] for f in fs]
+        rows = dict(_cores(fs, spans, gamma, metric, binary, settle=True, all_optimal=all_optimal))
+        return [rows[s] for s in range(len(rows))]
 
-    def _settled(self, f, gamma, metric=DISCRETE, binary=False):
-        return [row for row in self._rows(f, gamma, metric, binary) if isinstance(row, _Settled)]
+    @pytest.mark.parametrize("setting", ["discrete", "binary", "line", "star"])
+    def test_bulk_rows_match_solver_and_reference(self, setting):
+        metric, binary, base = {
+            "discrete": (DISCRETE, False, None),
+            "binary": (DISCRETE, True, BINARY_BASE),
+            "line": (TABLE_METRICS["line"][0], False, None),
+            "star": (TABLE_METRICS["star"][0], False, None),
+        }[setting]
+        fs = _study_draws(4, seed=85, base=base)
+        wide = tied = 0
+        for gamma in (0.1, 0.5, 2.0):
+            rows = self._rows(fs, gamma, metric, binary)
+            bulk = [isinstance(row, _Settled) for row in rows]
+            wide += sum(b and 3 <= row.kept <= BULK_VERTICES for b, row in zip(bulk, rows))
+            alone = self._rows(fs, gamma, metric, binary, all_optimal=True)
+            tied += sum(b and not isinstance(row, _Settled) for b, row in zip(bulk, alone))
+            slow = [reference_project(f, gamma, metric, binary=binary) for f in fs]
+            for all_optimal in (False, True):
+                fast = project_many(fs, gamma, metric, binary=binary, all_optimal=all_optimal)
+                solver = _project_with(projection._Core.solve_primary, fs, gamma, metric, binary, all_optimal)
+                for got, *others in zip(fast, solver, slow):
+                    for other in others:
+                        assert got.cost.hex() == other.cost.hex() and got.projected == other.projected
+                        assert (got.candidates, got.candidates_kept) == (other.candidates, other.candidates_kept)
+                    assert got.optima == others[0].optima and got.optima in (None, others[1].optima)
+        # The binary draws have no tied row.
+        assert wide > 5 and (binary or tied > 5)
 
-    def test_rows_with_zero_or_one_kept_vertex_match_reference(self):
-        for f in _study_draws(3, seed=80):
-            kept = [row.kept for row in self._settled(f, 0.1)]
-            assert kept.count(0) > 5 and kept.count(1) > 5
-            fast, slow = project(f, 0.1, all_optimal=True), reference_project(f, 0.1)
-            assert fast.cost.hex() == slow.cost.hex()
-            assert fast.projected == slow.projected and fast.optima == slow.optima
-            assert (fast.candidates, fast.candidates_kept) == (slow.candidates, slow.candidates_kept)
+    def test_sink_ties_between_paths_pick_the_first_path(self, monkeypatch):
+        # In bulk rows keeping at least three vertices, the sink arc of a kept
+        # vertex v is set so that its path ties, at no higher cost, that of a
+        # later kept vertex u whose path _first_path prefers: it has fewer
+        # jumps, or as many and leaves v's at an earlier vertex.  The sink's
+        # other arcs are closed.  Each such row must be answered as the solver
+        # and the reference DP answer the same tables: through u.  The line
+        # metric keeps every candidate, so such pairs of paths are common.
+        bulk, kinds = projection._bulk, []
+
+        def with_ties(block, owns, labels, gamma, binary, all_optimal):
+            crafted, count = [], block["kept"].sum(axis=1)
+            for r in np.flatnonzero((count >= 3) & (count <= BULK_VERTICES)).tolist():
+                core = projection._Core(block, r, owns[r], gamma, binary)
+                parent, dist, _ = core.solve_primary()
+                jumps = [0] * len(parent)
+                for j in range(1, len(parent)):
+                    jumps[j] = jumps[parent[j]] + 1 if parent[j] >= 0 else 0
+                pairs = [(u, v) for v in core.kept for u in core.kept if v < u and max(dist[u], dist[v]) < INF]
+                pairs = [(jumps[u] < jumps[v], u, v) for u, v in pairs if _first_path([v, u], jumps, parent) == u]
+                if not pairs:
+                    continue
+                fewer, u, v = min(pairs)  # as many jumps, where there is such a pair
+                sink = block["w_sink"][r]  # a view: the block changes with it
+                sink[np.arange(len(sink)) != u - 1] = INF
+                sink[v - 1] = (dist[u] + sink[u - 1]) - dist[v]
+                while dist[v] + sink[v - 1] > dist[u] + sink[u - 1]:
+                    sink[v - 1] = np.nextafter(sink[v - 1], -INF)
+                block["w_direct"][r], block["cap"][r] = INF, INF
+                crafted.append((r, u, fewer))
+            out = bulk(block, owns, labels, gamma, binary, all_optimal)
+            for r, u, fewer in crafted:
+                core = projection._Core(block, r, owns[r], gamma, binary)
+                assert core.solve_primary()[0][-1] == u  # the tie holds, and _first_path takes u
+                want, slow = core.settle(projection._Core.solve_primary, False), core.settle(_reference_tables, True)
+                assert out[r].cost.hex() == want.cost.hex() == slow.cost.hex()
+                assert out[r].primary == want.primary == slow.primary
+                kinds.append(fewer)
+            return out
+
+        monkeypatch.setattr(projection, "_bulk", with_ties)
+        project_many(_study_draws(8, seed=85), 0.1, TABLE_METRICS["line"][0])
+        assert kinds.count(True) > 5 and kinds.count(False) > 5
 
     def test_a_tie_with_the_direct_arc_keeps_it_and_records_both(self, monkeypatch):
         # A few rows with one kept vertex j and no direct arc get one that
         # costs exactly what the path through j costs.  The direct arc must
-        # win the tie, having no jump, and both answers must be listed.
+        # win the tie, having no jump, in bulk; with all optima asked for,
+        # the rows go to the solver, which lists both answers.
         caps, tied = projection._caps, []
 
         def with_ties(block, d_max, gamma):
@@ -992,7 +1058,7 @@ class TestSettledRows:
                 tied.append(r)
 
         f = _study_draws(1, seed=81)[0]
-        untied = len(project(f, 0.1, all_optimal=True).optima)
+        untied, before = len(project(f, 0.1, all_optimal=True).optima), self._rows([f], 0.1)
         monkeypatch.setattr(projection, "_caps", with_ties)
         fast = project(f, 0.1, all_optimal=True)
         assert len(tied) == 3 and len(fast.optima) == 8 * untied
@@ -1001,63 +1067,45 @@ class TestSettledRows:
         assert fast.cost.hex() == slow.cost.hex()
         assert fast.projected == slow.projected and fast.optima == slow.optima
         tied.clear()
-        ties = [row for row in self._settled(f, 0.1) if len(row.optima) == 2]
-        assert len(ties) == 3
-        for row in ties:
-            assert row.primary.n_jumps == 0 and row.optima[0] == row.primary and row.optima[1].n_jumps == 1
-            assert row.kept == 1
-
-    @pytest.mark.parametrize("setting", ["discrete", "binary", "table"])
-    def test_rows_with_two_kept_vertices_match_reference_and_solver(self, setting):
-        metric, binary, base = {
-            "discrete": (DISCRETE, False, None),
-            "binary": (DISCRETE, True, BINARY_BASE),
-            "table": (NEAR_DISCRETE, False, None),
-        }[setting]
-        fs = _study_draws(3, seed=83, base=base)
-        kept = [row.kept for f in fs for row in self._settled(f, 0.1, metric, binary)]
-        assert kept.count(2) > 5
-        for f in fs:
-            fast = project(f, 0.1, metric, binary=binary, all_optimal=True)
-            solver = _project_with(projection._Core.solve_primary, [f], 0.1, metric, binary, True)[0]
-            for slow in (reference_project(f, 0.1, metric, binary=binary), solver):
-                assert fast.cost.hex() == slow.cost.hex()
-                assert fast.projected == slow.projected and fast.optima == slow.optima
-                assert (fast.candidates, fast.candidates_kept) == (slow.candidates, slow.candidates_kept)
-
-    def test_a_tie_on_a_two_vertex_row_leaves_it_to_the_solver(self, monkeypatch):
-        # A few rows with two kept vertices j1 < j2 and no direct arc get one
-        # that costs exactly what their optimal path, through j1 and j2,
-        # costs.  The tie at the sink must send them to the solver, which
-        # lists both answers.
-        f = _study_draws(1, seed=84)[0]
-        costs = {row.primary.jump_times: row.cost for row in self._settled(f, 0.1) if row.kept == 2}
-        caps, tied = projection._caps, []
-
-        def with_ties(block, d_max, gamma):
-            caps(block, d_max, gamma)
-            for r in np.flatnonzero(block["kept"].sum(axis=1) == 2).tolist():
-                at = tuple(block["times"][r, np.flatnonzero(block["kept"][r]) + 1].tolist())
-                if len(tied) < 3 and block["c0"][r] != block["cn"][r] and at in costs:
-                    block["w_direct"][r] = costs[at]
-                    tied.append(r)
-
-        untied = len(project(f, 0.1, all_optimal=True).optima)
-        monkeypatch.setattr(projection, "_caps", with_ties)
-        fast = project(f, 0.1, all_optimal=True)
-        assert len(tied) == 3 and len(fast.optima) == 8 * untied
-        tied.clear()  # the same rows again, on the reference route
-        slow = reference_project(f, 0.1)
-        assert fast.cost.hex() == slow.cost.hex()
-        assert fast.projected == slow.projected and fast.optima == slow.optima
+        changed = [(a, b) for a, b in zip(before, self._rows([f], 0.1)) if a.primary != b.primary]
+        assert len(changed) == 3
+        for a, b in changed:
+            assert isinstance(b, _Settled) and b.kept == 1 and b.cost.hex() == a.cost.hex()
+            assert b.primary.n_jumps == 0 and a.primary.n_jumps == 1
         tied.clear()
-        rows = self._rows(f, 0.1)
+        rows = self._rows([f], 0.1, all_optimal=True)
         cores = [row for row in rows if isinstance(row, projection._Core) and row.w_direct < INF and row.c0 != row.cn]
         assert len(cores) == 3
         for core in cores:
             answer = core.settle(projection._Core.solve_primary, True)
-            assert answer.kept == 2 and answer.primary.n_jumps == 0
-            assert len(answer.optima) == 2 and answer.optima[0] == answer.primary and answer.optima[1].n_jumps == 2
+            assert answer.kept == 1 and answer.primary.n_jumps == 0
+            assert len(answer.optima) == 2 and answer.optima[0] == answer.primary and answer.optima[1].n_jumps == 1
+
+    def test_rows_past_the_limit_go_to_the_solver(self):
+        # The line metric prunes nothing, so each row keeps all its candidates.
+        rows = self._rows(_study_draws(1, seed=87), 0.1, TABLE_METRICS["line"][0])
+        kept = [(row.kept, True) if isinstance(row, _Settled) else (len(row.kept), False) for row in rows]
+        assert (BULK_VERTICES, True) in kept and (BULK_VERTICES + 1, False) in kept
+        assert all(bulk == (n <= BULK_VERTICES) for n, bulk in kept)
+
+    def test_rows_without_a_positive_gap_go_to_the_solver(self):
+        # At gamma <= GAP_TOL the solver admits no kept vertex as a predecessor
+        # of another, and the bulk route must not answer in its place.
+        rng = np.random.default_rng(86)
+        gaps = rng.uniform(5e-14, 6e-13, size=(6, 8))
+        fs = [StateSequence(1, tuple(zip(np.cumsum(g).tolist(), [2, 3, 1, 3, 2, 1, 2, 3]))) for g in gaps]
+        rows = self._rows(fs, 8e-13)
+        assert any(0 < len(row.kept) <= BULK_VERTICES for row in rows)
+        assert all(isinstance(row, projection._Core) for row in rows)
+
+    def test_tied_rows_go_to_the_solver_for_all_optima(self):
+        # A row settled in bulk comes as a core once all optima are asked for
+        # exactly when the solver records a tie in it.
+        fs = _study_draws(2, seed=88)
+        rows, alone = self._rows(fs, 0.1), self._rows(fs, 0.1, all_optimal=True)
+        moved = [core for row, core in zip(rows, alone) if isinstance(row, _Settled) and not isinstance(core, _Settled)]
+        assert len(moved) > 3 and all(core.solve_primary()[2] for core in moved)
+        assert all(isinstance(row, _Settled) for row, other in zip(rows, alone) if isinstance(other, _Settled))
 
     @pytest.mark.parametrize("cap, message", [(0.0, "Potts bound"), (INF, "sink unreachable")])
     @pytest.mark.parametrize("route", ["bulk", "solver"])

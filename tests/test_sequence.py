@@ -55,6 +55,15 @@ class TestStateSequence:
         seq = StateSequence.from_pairs(1, [(1.0, 2), (1.0 + 1e-12, 3)])
         assert seq.jumps == ((1.0, 3),)
 
+    def test_states_used_is_computed_once_and_leaves_equality_alone(self):
+        seq = StateSequence(3, ((1.0, 1), (2.0, 3), (4.0, 2)))
+        fresh = StateSequence.from_pairs(3, [(1.0, 1), (2.0, 3), (4.0, 2)])
+        sliced = StateSequence(5, ((0.5, 3), *seq.jumps))._slice(1, 4)
+        assert seq.states_used == (1, 2, 3) and seq.states_used is seq.states_used
+        assert sliced.states_used == (1, 2, 3) and StateSequence(4).states_used == (4,)
+        assert seq == fresh == sliced and hash(seq) == hash(fresh) == hash(sliced)
+        assert repr(seq) == repr(fresh) and seq != StateSequence(3, ((1.0, 1), (2.0, 3)))
+
     def test_events_partition(self):
         seq = StateSequence(1, ((5.0, 2), (15.0, 3)))
         evs = seq.events()
