@@ -73,9 +73,14 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
     forward index walks the base jumps; the result is ``Labels.from_pairs``
     of the pairs (spell start, its state) and of the base jumps inside each
     correct spell, so the pairs at t = 0 set the start state.
+
+    It reads the same PCG64 words, in the same order, as calls of
+    ``Generator.exponential`` per spell and ``Generator.integers(0, k)`` per
+    wrong state (checked on numpy 2.4.6), copying the latter for k <= 2**32.
     """
     rng = np.random.default_rng(model.seed)
-    exponential, integers = rng.exponential, rng.integers
+    exponential, integers, random_raw = rng.exponential, rng.integers, rng.bit_generator.random_raw
+    spare = None  # the unused high half of the last word read by a 32-bit draw
     mu_correct, mu_incorrect = model.mu_correct, model.mu_incorrect
     horizon, n = base.horizon, base.n_states
     base_times = [*map(float, base._times), INF]  # type: ignore[attr-defined]  # INF: past every spell
@@ -99,8 +104,17 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
                 states += base_states[first + 1 : i + 1]
         else:
             span = exponential(mu_incorrect)
-            # Entry r - 1 of the states 1..n other than the current one.
-            r = int(integers(0, n - (0 < current <= n))) + 1
+            k = n - (0 < current <= n)  # the states 1..n other than the current one
+            r = int(integers(0, k)) if k > 1 << 32 else 0
+            while 1 < k <= 1 << 32:  # integers(0, k) in-line: Lemire's method on 32-bit halves
+                x, spare = spare, None
+                if x is None:  # a fresh word: its low half now, its high half next time
+                    x, spare = (word := random_raw()) & 0xFFFFFFFF, word >> 32
+                m = x * k
+                if m & 0xFFFFFFFF >= ((1 << 32) - k) % k:  # else the draw is rejected and made again
+                    r = m >> 32
+                    break
+            r += 1  # the r-th of those states
             states.append(r + (r >= current > 0))
         t += span
         correct = not correct
@@ -188,11 +202,11 @@ def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     """Score noisy and post-processed labels across the swept values.
 
     Replications go in chunks of ``SWEEP_CHUNK``, and within a chunk the
-    stages run in order: every replication is drawn once per mu2, all the
-    draws of one mu2 are projected together once per (mu2, gamma), by
+    stages run in order: every replication is drawn and anchored once per
+    mu2, the draws of one mu2 projected together once per (mu2, gamma), by
     :func:`project_many`, and then scored, once per (mu2, LTS settings) before
-    projection and once per swept value after.  A gamma sweep thus draws and
-    scores the noisy labels once per replication, not once per value.
+    projection and once per swept value after.  A gamma sweep thus draws,
+    anchors and scores the noisy labels once per replication, not per value.
     Per-replication seeds do not depend on the swept value or on the
     chunking, and each value's scores are kept in replication order.
     """
@@ -203,18 +217,19 @@ def run_sweep(config: SweepConfig) -> tuple[SweepRow, ...]:
     lts_pp: list[list[float]] = [[] for _ in settings]
     for start in range(0, config.replications, SWEEP_CHUNK):
         reps = range(start, min(start + SWEEP_CHUNK, config.replications))
-        draws: dict[float, list[Labels]] = {}
+        draws: dict[float, tuple[list[Labels], list[StateSequence]]] = {}
         projections: dict[tuple[float, float], list[Labels]] = {}
         noisy_scores: dict[tuple[float, LtsParams], list[tuple[float, float]]] = {}
         for i, (mu2, gamma, lts) in enumerate(settings):
             if mu2 not in draws:
                 models = (NoiseModel(config.mu1, mu2, seed=config.seed + rep) for rep in reps)
-                draws[mu2] = [generate_noisy_labels(base, model) for model in models]
-            noisy = draws[mu2]
+                noisy = [generate_noisy_labels(base, model) for model in models]
+                draws[mu2] = noisy, [x.to_anchored() for x in noisy]  # one anchored view for every gamma
+            noisy, anchored = draws[mu2]
             if (mu2, gamma) not in projections:
                 projections[mu2, gamma] = [
                     Labels.from_anchored(res.projected, x.horizon, x.n_states)
-                    for res, x in zip(project_many([x.to_anchored() for x in noisy], gamma), noisy)
+                    for res, x in zip(project_many(anchored, gamma), noisy)
                 ]
             if (mu2, lts) not in noisy_scores:
                 noisy_scores[mu2, lts] = [(accuracy(base, x), lts_measure(base, x, lts)) for x in noisy]

@@ -108,37 +108,40 @@ class TestNoiseModel:
         if base.horizon < 0.1:  # one spell covers the recording
             assert generate_noisy_labels(base, NoiseModel(1.0, 0.8, seed=0)) == base
 
-    def test_draws_the_same_random_numbers_as_the_full_scan(self, monkeypatch):
-        # The PCG64 stream is pinned: the same generator calls, arguments and order.
-        calls = []
+    @pytest.mark.parametrize(
+        "base",
+        [
+            Labels(20.0, 2, 1, ((5.0, 2), (12.0, 1))),  # one wrong state: nothing is drawn
+            default_base_labels(),  # two
+            Labels(20.0, 4, 2, ((3.0, 4), (9.0, 1), (16.0, 3))),  # three, not a power of two
+            Labels(20.0, 3, 7, ((4.0, 2), (8.0, 0), (13.0, 3))),  # 7 and 0 lie outside 1..3
+            Labels(20.0, 3 * 10**9, 5, ((6.0, 0), (11.0, 3 * 10**9))),  # Lemire rejects ~30% of draws
+            Labels(20.0, 2**32, 1, ((4.0, 0), (9.0, 2**32), (14.0, 3))),  # 2**32 - 1 and 2**32 wrong states
+            Labels(20.0, 2**32 + 1, 1, ((4.0, 0), (9.0, 2**32 + 1), (14.0, 3))),  # 2**32 and 2**32 + 1
+            Labels(20.0, 2**32 + 2, 2, ((7.0, 2**32 + 2), (15.0, 1))),  # 2**32 + 1 and 2**32 + 2
+        ],
+        ids=["one-wrong", "two-wrong", "three-wrong", "outside-states", "rejections", "32-bit", "2**32", "64-bit"],
+    )
+    def test_draws_the_same_random_numbers_as_the_full_scan(self, base, monkeypatch):
+        # The PCG64 stream is pinned: the same words in the same order as Generator.exponential and
+        # Generator.integers(0, k) draw them, so the same labels and the same final generator state.
+        generators = []
         default_rng = np.random.default_rng
 
-        class Recording:
-            def __init__(self, seed):
-                calls.append(("default_rng", (seed,), {}))
-                self._rng = default_rng(seed)
+        def capturing(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
 
-            def __getattr__(self, name):
-                method = getattr(self._rng, name)
-
-                def call(*args, **kwargs):
-                    calls.append((name, args, kwargs))
-                    return method(*args, **kwargs)
-
-                return call
-
-        def recorded(generate, base, model):
-            calls.clear()
-            labels = generate(base, model)
-            return labels, [(name, args, tuple(map(type, args)), kwargs) for name, args, kwargs in calls]
-
-        monkeypatch.setattr(simulate.np.random, "default_rng", Recording)
-        for base in (default_base_labels(), Labels(20.0, 3, 7, ((4.0, 2), (8.0, 0), (13.0, 3)))):
-            for seed in range(3):
-                model = NoiseModel(0.1, 0.08, seed=seed)
-                ours, drawn = recorded(generate_noisy_labels, base, model)
-                assert (ours, drawn) == recorded(_noisy_by_full_scan, base, model)
-                assert len(drawn) > 100
+        monkeypatch.setattr(simulate.np.random, "default_rng", capturing)
+        for seed in range(3):
+            model = NoiseModel(0.1, 0.08, seed=seed)
+            generators.clear()
+            ours = generate_noisy_labels(base, model)
+            assert ours == _noisy_by_full_scan(base, model)
+            assert len(ours.jumps) > 100
+            ours_rng, scan_rng = generators
+            # has_uint32 and uinteger are left out: the in-line draw keeps its spare half itself.
+            assert ours_rng.bit_generator.state["state"] == scan_rng.bit_generator.state["state"]
 
     def test_wrong_state_stays_in_alphabet(self):
         base = default_base_labels()
@@ -168,8 +171,11 @@ def _noisy_by_full_scan(base, model):
         else:
             span = rng.exponential(model.mu_incorrect)
             current = base.state_at(t)
-            others = [s for s in range(1, base.n_states + 1) if s != current]
-            pairs.append((t, others[int(rng.integers(0, len(others)))]))
+            # The states 1..n other than the current one, as ranges: n may exceed 2**32.
+            below = range(1, min(max(current, 1), base.n_states + 1))
+            above = range(max(current + 1, 1), base.n_states + 1)
+            r = int(rng.integers(0, len(below) + len(above)))
+            pairs.append((t, below[r] if r < len(below) else above[r - len(below)]))
         t += span
         correct = not correct
     start = base.start_state if start_state is None else start_state
