@@ -15,12 +15,17 @@ time, and its record of tied predecessors lists every optimal path;
 Before the sweep, the Potts recurrence (the same energy without the minimum
 duration) runs forward and backward over f's events, as a chunked (min,+)
 scan over all subproblems of similar length at once.  Its values bound from
-below every path through each vertex, and when every distance is at most 1
-its optimum is the projection's optimal cost, so the sweep settles only the
-vertices whose bound lies within a derived rounding margin of it.  On a
-one-hour fine-noise recording (40,149 jumps) that keeps 419 of 40,145
-candidate vertices at gamma 0.5, 329 at gamma 2.0 and 3,936 of 34,737 at
-gamma 0.1; the answer is the unpruned solver's, bit for bit.
+below every path through each vertex, and its optimum bounds the
+projection's optimal cost under every metric.  The sweep settles only the
+vertices whose bound lies within a derived rounding margin of that optimum,
+and checks the path it finds against it: a path that costs too much more
+than the bound proves nothing, and a second round prunes against the path
+instead, which is exact.  On a one-hour fine-noise recording (40,149 jumps)
+the first round keeps 419 of 40,145 candidate vertices at gamma 0.5, 329 at
+gamma 2.0 and 3,936 of 34,737 at gamma 0.1 under the discrete metric, and
+418 and 448 of 40,149 at gamma 0.5 under 3-state line and star metrics,
+whose distances reach 2; no second round runs there.  The answer is the
+unpruned solver's, bit for bit.
 
 One pass serves many inputs (:func:`project_many`; :func:`project` is the
 pass over one): the subproblems of all inputs over the same states share
@@ -221,14 +226,13 @@ def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateM
     # s_n; padding events are free and carry s_n, so a row's bounds are
     # those of its own jumps.  lb[:, i] bounds every solution jumping at
     # t_{i+1}.  potts, the forward value at s_n once a free step has allowed
-    # a last jump, is the optimum: the optimal cost when every distance is
-    # at most 1 (see _Core.solve_primary), and left at +inf otherwise.
+    # a last jump, is the Potts optimum, a lower bound on the optimal cost
+    # under every metric (see _Core.solve_primary).
     c0, cn = sv[:, 0], sv[rows, n]
     cost = np.diff(t)[:, :, None] * dist.T[sv[:, 1:-1]]
     cost = np.concatenate((cost, cost[:, ::-1]))  # one scan for both ways
     low, end = _potts_scan(np.where(np.concatenate((c0, cn))[:, None] == label.T, 0.0, INF), cost, gamma)
-    lb = low[: len(n)] + gamma + low[len(n) :, ::-1]
-    potts = end[rows, cn] if dist.max() <= 1.0 else np.full(len(n), INF)
+    lb, potts = low[: len(n)] + gamma + low[len(n) :, ::-1], end[rows, cn]
     del cost, low  # before the tables below
 
     # Occupancy of each label within [t_1, t_i), column i = 1..n.
@@ -272,18 +276,19 @@ def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateM
 
 
 def _caps(block: dict, d_max: list[float], gamma: float) -> None:
-    """Add each row's bucket slack M and Potts cap, and the mask of its kept vertices, to ``block``.
+    """Add each row's bucket slack M, pruning margin, round-1 acceptance bound and kept-vertex mask to ``block``.
 
     Row by row the bits of the scalar formulas in :meth:`_Core.solve_primary`'s
-    docstring: M = 2 COST_TOL max(1, B) and cap = U + (n + 2) M.
+    docstring: M = 2 COST_TOL max(1, B), the margin (n + 2) M, the round-1
+    cap U + (n + 2) M and the acceptance bound U + (n + 2) M / 4.
     """
-    k, t = np.array(block["k"]), block["times"]
+    k, t, potts = np.array(block["k"]), block["times"], np.array(block["potts"])
     t0, tk = t[:, 1], t[np.arange(len(k)), k]
     bound = 2 * np.maximum(-t0, tk) + 4 * (tk - t0) * np.maximum(1.0, d_max) + gamma * (k + 2)
     slack = 2 * COST_TOL * np.maximum(1.0, bound)
-    cap = np.array(block["potts"]) + (np.array(block["n"]) + 2) * slack
-    block["kept"] = (block["lb"] <= cap[:, None]) & (np.arange(block["lb"].shape[1]) < k[:, None])
-    block["slack"], block["cap"] = slack.tolist(), cap.tolist()
+    margin = (np.array(block["n"]) + 2) * slack
+    block["kept"] = (block["lb"] <= (potts + margin)[:, None]) & (np.arange(block["lb"].shape[1]) < k[:, None])
+    block["slack"], block["margin"], block["accept"] = slack.tolist(), margin.tolist(), (potts + margin / 4).tolist()
 
 
 def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=None, settle=False, all_optimal=False):
@@ -343,7 +348,8 @@ def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optim
     ``_tie_tol`` of the least cost tie, fewer jumps win, then the earlier path, which holds the lowest vertex
     of the two paths' symmetric difference (:func:`_first_path`): its mask, earlier vertices in higher bits,
     is larger.  Left to the solver are all rows when min_gap <= 0 (it then admits no kept vertex), rows
-    whose cost is above the cap or not finite, so that it raises, and under ``all_optimal`` tied rows.
+    whose cost is not finite or fails the round-1 test of :meth:`_Core.solve_primary`, for its second
+    round, and under ``all_optimal`` tied rows.
     """
     min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
     count = block["kept"].sum(axis=1)
@@ -377,7 +383,7 @@ def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optim
         if all_optimal:
             tie[:live] |= (low < INF) & (tied.sum(axis=1) > 1)
         dist[:live, j], key[:live, j] = cost[ar[:live], pick], key[ar[:live], pick] + ((1 << max(w - j, 0)) - (1 << w))
-    ok = np.isfinite(dist[:, -1]) & (dist[:, -1] <= np.array(block["cap"])[rows]) & ~tie
+    ok = np.isfinite(dist[:, -1]) & (dist[:, -1] <= np.array(block["accept"])[rows]) & ~tie
     # The mask of the sink's parent holds the primary's vertices.  Each jumps to the state
     # of the arc to the next, the first label of its largest gain as :meth:`_Core.arc_state`
     # takes it, and the last to the sink's; from_pairs merges nothing in a row marked clean.
@@ -412,8 +418,8 @@ class _Core:
     tables of a whole projection pass are built at once (:func:`_cores`); a
     core slices its row and the rows of its labels (:func:`_label_set`) out of them.
     ``lb`` holds each vertex's Potts bound, ``potts`` the Potts optimum
-    (+inf unless proven exact) and ``kept`` the vertices whose bound is at
-    most ``cap`` (see :meth:`solve_primary`).
+    and ``kept`` the vertices whose bound is within ``margin`` of it, or of
+    the path found once a second round has run (see :meth:`solve_primary`).
     """
 
     def __init__(self, block: dict, r: int, label_set: tuple, gamma: float, binary: bool):
@@ -428,11 +434,11 @@ class _Core:
         self.w_source, self.w_sink = block["w_source"][r, :k], block["w_sink"][r, :k]
         self.w_direct = block["w_direct"][r]
 
-        # Plain-float tables for solve_primary, its bucket slack M and its cap (:func:`_caps`).
+        # Plain-float tables for solve_primary, its bucket slack M, margin and round-1 bound (:func:`_caps`).
         self.time_list = self.ktimes.tolist()
         self.enter_rows = self.enter.tolist()
         self.admit_rows = self.admit.tolist() if binary else self.enter_rows
-        self.slack, self.cap = block["slack"][r], block["cap"][r]
+        self.slack, self.margin, self.accept = block["slack"][r], block["margin"][r], block["accept"][r]
         self.lb, self.potts = block["lb"][r, :k], block["potts"][r]
         self.kept = (np.flatnonzero(block["kept"][r]) + 1).tolist()
 
@@ -492,28 +498,40 @@ class _Core:
         part within 2 u B more of best[c]: k is in c's bucket and a candidate.
         COST_TOL = 1e-12 exceeds that rounding, 23 u, over 300-fold.
 
-        Only the vertices in ``kept`` are admitted and settled: those whose
-        Potts bound ``lb`` (:func:`_block`) is at most ``cap`` = U + (n + 2) M,
-        with U the Potts optimum and n the subproblem's jumps; the others keep
-        dist = inf and parent = -1.  When every distance is at most 1, U is
-        the optimal cost: an event of a Potts minimizer shorter than gamma
-        (2 gamma with two states) could be relabelled for at most its length
-        to save a jump, the minimizer never jumps against f's direction, and
-        the dropped vertices keep an optimum.  Otherwise U = +inf.  The argument
-        for M holds on any vertex subset, so the sweep is the per-column DP
-        over the kept vertices, whose distances can only be higher; hence
-        every vertex of every optimal path (any vertex the walk from the sink
-        through tied predecessors visits) keeps its parent, distance bits and
-        ties, provided it is kept.  It is: such a vertex lies on a path whose
-        computed cost exceeds the optimum by at most one tie tolerance
-        COST_TOL max(1, B) = M / 2 per arc, over at most n + 1 arcs.  The
-        rounding adds at most a few u B per arc and per event: a prefix
-        difference carries the rounding of the gaps it spans, and the arcs
-        of a path span disjoint gaps; each Potts value is a float sum of at
-        most 2 n nonnegative terms, lb adds two scans and U is one.  With
-        M / 2 > 9000 u B that all fits within (n + 2) M.  The same bound
-        caps the solved cost; a higher one means U is not a bound, and the
-        solver raises ``RuntimeError``.
+        Only the vertices in ``kept`` are admitted and settled; the others
+        keep dist = inf and parent = -1.  The argument for M holds on any
+        vertex subset, so the sweep is the per-column DP over the kept
+        vertices, whose distances can only be higher; hence every vertex of
+        every optimal path (any vertex the walk from the sink through tied
+        predecessors visits) keeps its parent, distance bits and ties,
+        provided it is kept.  Such a vertex v lies on a path whose computed
+        cost exceeds the optimum OPT by at most one tie tolerance COST_TOL
+        max(1, B) = M / 2 per arc, over at most n + 1 arcs (n the
+        subproblem's jumps), and its Potts bound ``lb`` (:func:`_block`)
+        bounds that path's cost from below: lb(v) <= OPT + (n + 1) M / 2 + r.
+        The rounding r is at most a few u B per arc and per event: a prefix
+        difference carries the rounding of the gaps it spans, and the arcs of
+        a path span disjoint gaps; each Potts value is a float sum of at most
+        2 n nonnegative terms, lb adds two scans and the Potts optimum U is
+        one.  With M / 2 > 9000 u B, 2 r < (n + 4) M / 4.
+
+        The kept vertices come from branch and bound (Land & Doig 1960).  The
+        Potts optimum U bounds OPT from below under every metric.  Round 1
+        keeps the vertices with lb <= U + (n + 2) M and solves; the path found
+        costs C >= OPT - r.  If C <= U + (n + 2) M / 4, then lb(v) <= U +
+        (n + 2) M / 4 + (n + 1) M / 2 + 2 r < U + (n + 2) M for every v
+        above: the margin left after the tie chain, (n + 4) M / 4, covers the
+        rounding, v is kept and round 1 is exact.  Otherwise round 2 keeps
+        the vertices with lb <= ub + (n + 2) M, ub the least of C,
+        ``w_direct`` and w_source[j] + w_sink[j] over j: costs of paths
+        that exist even when round 1 cannot reach the sink, so OPT <= ub + r,
+        every v is kept and round 2 is exact with no check.  When every
+        distance is at most 1, U = OPT (an event of a Potts minimizer shorter
+        than gamma, 2 gamma with two states, could be relabelled for at most
+        its length to save a jump, the minimizer never jumps against f's
+        direction, and the dropped vertices keep an optimum), so round 1
+        passes unless tie-breaks along the path found add up to over
+        (n + 2) M / 4.
         """
         kk, gamma, slack, min_gap, kept = self.k, self.gamma, self.slack, self.min_gap, self.kept
         dist, parent, njumps = _dp_tables(kk + 2)
@@ -560,8 +578,10 @@ class _Core:
         into = [0, *kept]  # the others stay at +inf and cannot reach the sink
         weights = self.column(kk + 1)[into].tolist()
         _choose(kk + 1, {k: dist[k] + w for k, w in zip(into, weights)}, dist, parent, njumps, ties)
-        if dist[-1] > self.cap:
-            raise RuntimeError("subproblem costs more than its Potts bound allows; the bound is invalid")
+        if dist[-1] > self.accept:  # round 2, pruned against the cheapest path found
+            ub = min(dist[-1], self.w_direct, (self.w_source + self.w_sink).min())
+            self.kept, self.accept = (np.flatnonzero(self.lb <= ub + self.margin) + 1).tolist(), INF
+            return self.solve_primary()
         return parent, dist, ties
 
     def settle(self, solve, all_optimal: bool) -> _Settled:
