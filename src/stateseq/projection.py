@@ -34,9 +34,9 @@ gets the projection, cost and optima a pass over it alone gives; only the
 bound's rounding depends on the padded width, so a vertex whose bound lies
 within rounding of the cap may be kept in one batch and pruned in another,
 which moves ``candidates_kept`` but no answer.  A subproblem whose bound keeps
-at most ``BULK_VERTICES`` vertices skips the sweep: one DP over the kept vertices
-settles all such rows of a run at once, column by column, ties included, unless
-all optima are asked for and two of its paths tie.
+at most ``BULK_VERTICES`` vertices, in either round, skips the sweep: one DP over
+the kept vertices settles all such rows of a run at once, column by column, ties
+included, unless all optima are asked for and two of its paths tie.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateM
     Each entry gets the bits a build of its span alone gives it: the occupancy
     cumsum runs along each row, and label sums go through :func:`_dot`.  The
     Potts bounds (``lb``, ``potts``) come from one scan over all rows, both
-    ways at once, whose rounding depends on the padded width.
+    ways at once, whose rounding depends on the padded width.  Padding
+    columns get no time or source arc, and a NaN bound, which no cap keeps.
     """
     rows, size, label = np.arange(len(n)), int(n.max()), np.arange(len(dist))[:, None]
     col = np.arange(size + 1)
@@ -264,14 +265,14 @@ def _block(times, ev, first, n, dist, gamma: float, binary: bool, metric: StateM
     # Arcs touching a sentinel carry its boundary state; the direct
     # source-to-sink arc exists iff both boundary states agree, and weighs
     # what the sink arc from vertex 1 (occupancy 0) does before masking.
-    sink = _dot(dist[cn], pref[rows, :, n][:, :, None] - pref_k)
+    sink, cand = _dot(dist[cn], pref[rows, :, n][:, :, None] - pref_k), col[1:] <= k[:, None]
     return dict(
         own=(sv[:, None] == label).any(axis=2).tolist(), k=k.tolist(), c0=c0.tolist(), cn=cn.tolist(),
-        n=n.tolist(), lb=lb, potts=potts.tolist(),
-        times=np.pad(np.where(col[1:] <= k[:, None], tk, INF), ((0, 0), (1, 1)), constant_values=(-INF, INF)),
+        n=n.tolist(), lb=np.where(cand, lb, np.nan), potts=potts.tolist(),
+        times=np.pad(np.where(cand, tk, INF), ((0, 0), (1, 1)), constant_values=(-INF, INF)),
         enter=enter, admit=admit, w_sink=np.where(admit[rows, cn] < INF, sink, INF),
-        w_source=np.where(enter[rows, c0] > -INF, _dot(dist[c0], pref_k) + gamma, INF),
-        w_direct=np.where(c0 == cn, sink[:, 0], INF).tolist(),
+        w_source=np.where(cand & (enter[rows, c0] > -INF), _dot(dist[c0], pref_k) + gamma, INF),
+        w_direct=np.where(c0 == cn, sink[:, 0], INF),
     )
 
 
@@ -287,8 +288,14 @@ def _caps(block: dict, d_max: list[float], gamma: float) -> None:
     bound = 2 * np.maximum(-t0, tk) + 4 * (tk - t0) * np.maximum(1.0, d_max) + gamma * (k + 2)
     slack = 2 * COST_TOL * np.maximum(1.0, bound)
     margin = (np.array(block["n"]) + 2) * slack
-    block["kept"] = (block["lb"] <= (potts + margin)[:, None]) & (np.arange(block["lb"].shape[1]) < k[:, None])
-    block["slack"], block["margin"], block["accept"] = slack.tolist(), margin.tolist(), (potts + margin / 4).tolist()
+    block["kept"] = block["lb"] <= (potts + margin)[:, None]
+    block["slack"], block["margin"], block["accept"] = slack.tolist(), margin, potts + margin / 4
+
+
+def _round_two(cost, lb, margin, w_direct, w_source, w_sink) -> np.ndarray:
+    """The second round's kept mask of :meth:`_Core.solve_primary`, rows on the last axis: lb <= ub + margin,
+    ub the least of the ``cost`` of the path found, ``w_direct`` and w_source[j] + w_sink[j] over j."""
+    return lb <= (np.minimum(np.minimum(cost, w_direct), (w_source + w_sink).min(axis=-1)) + margin)[..., None]
 
 
 def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=None, settle=False, all_optimal=False):
@@ -339,39 +346,42 @@ class _Settled(NamedTuple):
 BULK_VERTICES = 32
 
 
-def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optimal: bool) -> dict[int, _Settled]:
-    """:meth:`_Core.settle`'s answers, bit for bit, for the rows of ``block`` that keep at most ``BULK_VERTICES``
-    vertices: the DP over their kept vertices, column by column, all rows at once.
+def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optimal: bool, todo=True) -> dict:
+    """:meth:`_Core.settle`'s answers, bit for bit, for the rows of ``block`` in ``todo`` (a row mask; default
+    all) that keep at most ``BULK_VERTICES`` vertices: the DP over their kept vertices, column by column, all
+    rows at once.
 
     Its arcs are :meth:`_Core.column`'s: k -> j is admitted when t_k <= t_j - min_gap and costed as in
     :meth:`_Core._weight_single`.  Each vertex chooses as :func:`_choose` does: the candidates within
     ``_tie_tol`` of the least cost tie, fewer jumps win, then the earlier path, which holds the lowest vertex
     of the two paths' symmetric difference (:func:`_first_path`): its mask, earlier vertices in higher bits,
-    is larger.  Left to the solver are all rows when min_gap <= 0 (it then admits no kept vertex), rows
-    whose cost is not finite or fails the round-1 test of :meth:`_Core.solve_primary`, for its second
-    round, and under ``all_optimal`` tied rows.
+    is larger.  A row whose cost fails the round-1 test of :meth:`_Core.solve_primary` has its kept set and
+    test replaced by the second round's, as the solver replaces them, and takes one more pass if it still
+    keeps at most ``BULK_VERTICES`` vertices: a call whose ``todo`` holds the rows whose test is now +inf,
+    as no round-1 test is (the Potts optimum is finite).  Left to the solver are all rows when min_gap <= 0
+    (it then admits no kept vertex), the rows that keep more, rows whose cost is not finite, and under
+    ``all_optimal`` tied rows.
     """
     min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
     count = block["kept"].sum(axis=1)
-    rows = np.flatnonzero(count <= BULK_VERTICES) if min_gap > 0 else np.arange(0)
+    rows = np.flatnonzero(todo & (count <= BULK_VERTICES)) if min_gap > 0 else np.arange(0)
     rows = rows[np.argsort(-count[rows], kind="stable")]  # so the rows that keep vertex j come first
     count, at, ar, w = count[rows], rows[:, None], np.arange(len(rows)), int(count[rows].max(initial=0))
     valid, reach = np.arange(w) < count[:, None], np.searchsorted(-count, -np.arange(w + 2), side="right").tolist()
     col = np.where(valid, np.argsort(~block["kept"][rows], axis=1, kind="stable")[:, :w], 0)  # of kept vertex p + 1
     t, m = block["times"][at, col + 1], int((count > 1).sum())  # rows from m on have no arc between kept vertices
     cell = (at[:m, :, None], np.arange(len(labels))[:, None], col[:m, None])  # gain[:, c, k, j] for label c, k -> j
-    inset = np.array([owns[r][0] for r in rows[:m].tolist()], bool).reshape(m, len(labels), 1, 1)
+    own = np.array([owns[r][0] for r in rows.tolist()], bool).reshape(len(rows), len(labels))
     gain = block["enter"][cell][:, :, None, :] - block["admit"][cell][:, :, :, None]
-    np.copyto(gain, -INF, where=~inset)
+    np.copyto(gain, -INF, where=~own[:m, :, None, None])
     admitted = valid[:m, :, None] & valid[:m, None] & (t[:m, :, None] <= t[:m, None, :] - min_gap)
     # Vertex 0 is the source, p + 1 kept vertex p and w + 1 the sink; weight[:, a, b] is arc a -> b.
-    weight, arc = np.full((len(rows), w + 2, w + 2), INF), np.zeros((len(rows), w, w), np.int64)
-    arc[:m] = gain.argmax(axis=1)
+    weight = np.full((len(rows), w + 2, w + 2), INF)
     arcs = np.subtract((t[:m, None, :] - t[:m, :, None])[:, None], gain, out=gain)  # (t_j - t_k) - gain, in place
     weight[:m, 1:-1, 1:-1] = np.where(admitted, arcs.min(axis=1) + gamma, INF)
     weight[:, 0, 1:-1] = np.where(valid, block["w_source"][at, col], INF)
     weight[:, 1:-1, -1] = np.where(valid, block["w_sink"][at, col], INF)
-    weight[:, 0, -1] = np.array(block["w_direct"])[rows]
+    weight[:, 0, -1] = block["w_direct"][rows]
     # A vertex's key ranks its path as _choose does: (w + 2 - jumps) << w, plus its mask.
     dist, key, tie = np.full((len(rows), w + 2), INF), np.zeros((len(rows), w + 2), np.int64), np.zeros(len(rows), bool)
     dist[:, 0], key[:, 0] = 0.0, (w + 2) << w
@@ -383,13 +393,14 @@ def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optim
         if all_optimal:
             tie[:live] |= (low < INF) & (tied.sum(axis=1) > 1)
         dist[:live, j], key[:live, j] = cost[ar[:live], pick], key[ar[:live], pick] + ((1 << max(w - j, 0)) - (1 << w))
-    ok = np.isfinite(dist[:, -1]) & (dist[:, -1] <= np.array(block["accept"])[rows]) & ~tie
+    ok = np.isfinite(dist[:, -1]) & (dist[:, -1] <= block["accept"][rows]) & ~tie
     # The mask of the sink's parent holds the primary's vertices.  Each jumps to the state
     # of the arc to the next, the first label of its largest gain as :meth:`_Core.arc_state`
     # takes it, and the last to the sink's; from_pairs merges nothing in a row marked clean.
     r, p = np.nonzero(key[ar, pick][:, None] >> np.arange(w - 1, -1, -1) & 1)
     last, c0 = np.append(r[1:] != r[:-1], True), np.array(block["c0"])[rows]
-    state = np.where(last, np.array(block["cn"])[rows][r], arc[r, p, np.append(p[1:], 0)])
+    gain = block["enter"][rows[r], :, col[r, np.append(p[1:], 0)]] - block["admit"][rows[r], :, col[r, p]]
+    state = np.where(last, np.array(block["cn"])[rows][r], np.where(own[r], gain, -INF).argmax(axis=1))
     close = ~(np.diff(t[r, p], prepend=-INF) >= TIME_MERGE_TOL) | (state == np.append(-1, state[:-1]))
     clean = np.bincount(r[np.where(np.append(True, last[:-1]), state == c0[r], close)], minlength=len(rows)) == 0
     ts, ss, c0 = t[r, p].tolist(), np.array(labels)[state].tolist(), np.array(labels)[c0].tolist()
@@ -399,7 +410,10 @@ def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optim
         primary = (_unchecked(StateSequence, initial_state=s0, jumps=tuple(jumps[a:b]), _times=tuple(ts[a:b])) if fine
                    else StateSequence._from_columns(s0, ts[a:b], ss[a:b]))
         out[row] = _Settled(block["k"][row], n, x, primary, (primary,) if all_optimal else None)
-    return out
+    fail = dist[:, -1] > block["accept"][rows]  # round 1 failed: take round 2's kept set and test
+    redo, tables = rows[fail], (block[name][rows[fail]] for name in ("lb", "margin", "w_direct", "w_source", "w_sink"))
+    block["kept"][redo], block["accept"][redo] = _round_two(dist[fail, -1], *tables), INF
+    return out | _bulk(block, owns, labels, gamma, binary, all_optimal, block["accept"] == INF) if fail.any() else out
 
 
 class _Core:
@@ -579,8 +593,8 @@ class _Core:
         weights = self.column(kk + 1)[into].tolist()
         _choose(kk + 1, {k: dist[k] + w for k, w in zip(into, weights)}, dist, parent, njumps, ties)
         if dist[-1] > self.accept:  # round 2, pruned against the cheapest path found
-            ub = min(dist[-1], self.w_direct, (self.w_source + self.w_sink).min())
-            self.kept, self.accept = (np.flatnonzero(self.lb <= ub + self.margin) + 1).tolist(), INF
+            keep = _round_two(dist[-1], self.lb, self.margin, self.w_direct, self.w_source, self.w_sink)
+            self.kept, self.accept = (np.flatnonzero(keep) + 1).tolist(), INF
             return self.solve_primary()
         return parent, dist, ties
 
@@ -806,7 +820,10 @@ class ProjectionResult:
     optimal projections :func:`project` enumerates, the primary
     ``projected`` among them.  ``candidates`` counts the candidate jump
     vertices of all subproblems, and ``candidates_kept`` those the Potts
-    bound could not rule out.
+    bound could not rule out: against the Potts optimum, or, in a
+    subproblem that took a second round, against the path the first found
+    (see :meth:`_Core.solve_primary`).  ``reference_project`` settles every
+    vertex and reports the first round's count.
     """
 
     projected: StateSequence
@@ -880,7 +897,8 @@ def project_many(
     ``candidates`` are those :func:`project` gives for its input alone;
     ``candidates_kept`` can differ where the Potts bound of a vertex lies
     within rounding of its cap, since that rounding depends on the padded
-    width of the build the input shares.
+    width of the build the input shares; it counts the second round's kept
+    vertices in each subproblem that took one.
     """
     return _project_with(None, fs, gamma, metric, binary, all_optimal)
 

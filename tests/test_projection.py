@@ -416,29 +416,32 @@ class TestPottsBound:
                 gaps += core.potts < dist[-1] - tol
         assert (gaps > 0) == (unproven > 0)
 
-    def test_lowered_bound_takes_a_second_round(self, monkeypatch):
+    @pytest.mark.parametrize("route", ["bulk", "solver"])
+    def test_lowered_bound_takes_a_second_round(self, monkeypatch, route):
         # A Potts optimum gamma too low prunes the optimal path's vertices, so
         # no first round passes its check; the second, pruned against the
-        # path found, must return the unpruned reference's answer.
-        build, solve, second = projection._block, projection._Core.solve_primary, []
+        # path found, must return the unpruned reference's answer, on the
+        # bulk route and in the solver alike, once per subproblem.
+        build, round_two, again = projection._block, projection._round_two, []
 
         def lowered(times, ev, first, n, dist, gamma, *rest):
             block = build(times, ev, first, n, dist, gamma, *rest)
             block["potts"] = [u - gamma for u in block["potts"]]
             return block
 
-        def counted(core):
-            second.append(core.accept == INF)
-            return solve(core)
+        def counted(cost, lb, *rest):
+            again.append(len(lb) if lb.ndim == 2 else 1)
+            return round_two(cost, lb, *rest)
 
         f = _noisy_recording(3, seed=1, horizon=60.0)
         want = _reference_primary(f, 0.5)
         assert project(f, 0.5).candidates_kept > 0
         monkeypatch.setattr(projection, "_block", lowered)
-        monkeypatch.setattr(projection._Core, "solve_primary", counted)
-        got = project(f, 0.5)
+        monkeypatch.setattr(projection, "_round_two", counted)
+        solve = None if route == "bulk" else projection._Core.solve_primary
+        got = _project_with(solve, [f], 0.5, DISCRETE, False, False)[0]
         assert got.cost.hex() == want.cost.hex() and got.projected == want.projected
-        assert second.count(True) == second.count(False) == got.n_subproblems > 0
+        assert sum(again) == got.n_subproblems > 0
 
 
 class TestBuildGraph:
@@ -696,7 +699,7 @@ class TestProjectionProperties:
             assert fast.projected == slow.projected
             assert fast.projected in slow.optima
             assert project(f, gamma, binary=binary, all_optimal=True).optima == slow.optima
-        for trial in range(60):
+        for trial in range(20 * len(TABLE_METRICS)):
             metric, n_states = list(TABLE_METRICS.values())[trial % len(TABLE_METRICS)]
             f, gamma = random_instance(rng, max_jumps=10, n_states=n_states)
             fast = project(f, gamma, metric)
@@ -1000,26 +1003,40 @@ class TestSettledRows:
         def keep_all(block, d_max, gamma):
             caps(block, d_max, gamma)
             block["kept"] = np.arange(block["kept"].shape[1]) < np.array(block["k"])[:, None]
-            block["accept"] = [INF] * len(block["accept"])
+            block["accept"] = np.full(len(block["k"]), INF)
 
         monkeypatch.setattr(projection, "_caps", keep_all)
 
     @pytest.mark.parametrize("setting", ["discrete", "binary", "line", "star", "far"])
-    def test_bulk_rows_match_solver_and_reference(self, setting):
-        # Under "far" most rows fail the bulk route's first-round check and
-        # take the solver's second round, which is counted so it cannot go dead.
+    def test_bulk_rows_match_solver_and_reference(self, monkeypatch, setting):
+        # Under "far" most rows fail the first round's check.  The bulk route
+        # re-keeps them against the path found and settles most of them in a
+        # second pass; the rows still too wide, and those the solver takes from
+        # the start, run the solver's second round.  Each kind is counted so
+        # that none can silently go dead, and no other setting has any.
         metric, binary, base = {
             "discrete": (DISCRETE, False, None),
             "binary": (DISCRETE, True, BINARY_BASE),
             **{name: (TABLE_METRICS[name][0], False, None) for name in ("line", "star", "far")},
         }[setting]
+        round_two, again = projection._round_two, []
+
+        def counted(cost, lb, *rest):
+            again.append(len(lb) if lb.ndim == 2 else 1)  # rows re-kept, in bulk or by the solver
+            return round_two(cost, lb, *rest)
+
+        monkeypatch.setattr(projection, "_round_two", counted)
         fs = _study_draws(4, seed=85, base=base)
-        wide = tied = second = 0
+        wide = tied = in_bulk = handed = by_solver = 0
         for gamma in (0.1, 0.5, 2.0):
+            again.clear()
             rows = self._rows(fs, gamma, metric, binary)
             bulk = [isinstance(row, _Settled) for row in rows]
             wide += sum(b and 3 <= row.kept <= BULK_VERTICES for b, row in zip(bulk, rows))
-            second += sum(not b and (row.solve_primary(), row.accept == INF)[1] for b, row in zip(bulk, rows))
+            in_bulk, handed = in_bulk + sum(again), handed + sum(not b and row.accept == INF for b, row in zip(bulk, rows))
+            again.clear()
+            [row.solve_primary() for b, row in zip(bulk, rows) if not b]
+            by_solver += sum(again)
             alone = self._rows(fs, gamma, metric, binary, all_optimal=True)
             tied += sum(b and not isinstance(row, _Settled) for b, row in zip(bulk, alone))
             slow = [reference_project(f, gamma, metric, binary=binary) for f in fs]
@@ -1032,11 +1049,13 @@ class TestSettledRows:
                         assert got.candidates == other.candidates
                     # The reference settles every vertex and reports the first round's kept count.
                     assert got.candidates_kept == others[0].candidates_kept
-                    assert second or got.candidates_kept == others[1].candidates_kept
+                    assert setting == "far" or got.candidates_kept == others[1].candidates_kept
                     assert got.optima == others[0].optima and got.optima in (None, others[1].optima)
         # The binary draws have no tied row, and under "far" most rows take the second round.
         assert wide > 5 and (binary or setting == "far" or tied > 5)
-        assert (second > 100) == (setting == "far")
+        assert (in_bulk + by_solver > 0) == (setting == "far")
+        if setting == "far":
+            assert in_bulk - handed > 100 and handed > 0 and by_solver > 0
 
     def test_sink_ties_between_paths_pick_the_first_path(self, monkeypatch):
         # In bulk rows keeping at least three vertices, the sink arc of a kept
@@ -1165,7 +1184,7 @@ class TestSettledRows:
             block["kept"][:] = False
             ends.update(c0 == cn for c0, cn in zip(block["c0"], block["cn"]))
             if closed:
-                block["w_source"][:], block["w_direct"] = INF, [INF] * len(block["w_direct"])
+                block["w_source"][:], block["w_direct"][:] = INF, INF
 
         f = _study_draws(1, seed=82)[0]
         want = project(f, 0.1)
