@@ -109,8 +109,8 @@ def _cmd_project(args) -> int:
         "gamma": args.gamma,
         "binary": args.binary,
         "cost": result.cost,
-        "jumps_before": len(labels.jumps),
-        "jumps_after": len(projected.jumps),
+        "jumps_before": labels.n_jumps,
+        "jumps_after": projected.n_jumps,
         "n_subproblems": result.n_subproblems,
         "candidates": result.candidates,
         "candidates_kept": result.candidates_kept,

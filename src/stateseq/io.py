@@ -210,7 +210,7 @@ def format_labels(labels: Labels) -> str:
     out.write(f"# states: {labels.n_states}\n")
     out.write(f"# initial: {labels.start_state}\n")
     out.write("time,state\n")
-    for t, s in labels.jumps:
+    for t, s in zip(labels._times, labels._states):
         out.write(f"{t:.9f},{s}\n")
     return out.getvalue()
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -206,8 +205,8 @@ def extend(labels: Labels, fill_state: int = FILL_STATE) -> StateSequence:
     of the pairs (0, start state), the jumps and (horizon, fill state),
     except that the jumps keep the time and state objects of ``labels``.
     """
-    times = [0.0, *labels._times, float(labels.horizon)]  # type: ignore[attr-defined]
-    states = [int(labels.start_state), *map(itemgetter(1), labels.jumps), int(fill_state)]
+    times = [0.0, *labels._times, float(labels.horizon)]
+    states = [int(labels.start_state), *labels._states, int(fill_state)]
     return StateSequence._from_columns(fill_state, times, states)
 
 
@@ -216,10 +215,10 @@ def _extension(labels: Labels, fill_state: int = FILL_STATE, times=None) -> tupl
     that sequence unless some of its jumps lie closer than ``TIME_MERGE_TOL``.
     ``times``, if given, is the array of 0, the jump times of ``labels`` and the horizon."""
     if times is None:
-        times = np.array([0.0, *labels._times, labels.horizon], dtype=float)  # type: ignore[attr-defined]
+        times = np.array([0.0, *labels._times, labels.horizon], dtype=float)
     if not (np.diff(times) >= TIME_MERGE_TOL).all():
         return _columns(extend(labels, fill_state))  # some jumps merge
-    states = [int(labels.start_state), *map(itemgetter(1), labels.jumps), int(fill_state)]
+    states = [int(labels.start_state), *labels._states, int(fill_state)]
     # Consecutive label states differ, so only a jump at 0 or the horizon can repeat one (and drop out).
     first, last = int(states[0] == fill_state), int(states[-2] == fill_state)
     return times[first : len(times) - last], [fill_state, *states[first : len(states) - last]]
@@ -242,7 +241,7 @@ def lts_measure(
     duration penalty looks only at the estimate's interior transitions, so
     the artificial extension jumps at 0 and the horizon never count.
     """
-    times = np.array([0.0, *estimate._times, estimate.horizon], dtype=float)  # type: ignore[attr-defined]
+    times = np.array([0.0, *estimate._times, estimate.horizon], dtype=float)
     dist = _integral(_extended_joint(truth, estimate, times), metric, params.w, params.sigma)
     dp = params.lam * int(np.count_nonzero(np.diff(times[1:-1]) < params.zeta))  # as duration_penalty counts
     return math.exp(-dist / truth.horizon - dp)

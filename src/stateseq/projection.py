@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -315,7 +315,7 @@ def _cores(fs, spans, gamma: float, metric: StateMetric, binary: bool, labels=No
     dist, sets = metric.matrix(labels), {}
     d = dist.tolist()
     # Each input's states, and its times with one unused last entry, so both share positions.
-    states = itertools.chain.from_iterable((f.initial_state, *map(itemgetter(1), f.jumps)) for f in fs)
+    states = itertools.chain.from_iterable((f.initial_state, *f._states) for f in fs)
     ev = np.searchsorted(np.array(labels), np.fromiter(states, np.int64))  # label row of each event
     times = np.fromiter(itertools.chain.from_iterable(f.jump_times + (INF,) for f in fs), float)
     base = itertools.accumulate((f.n_jumps + 1 for f in fs), initial=0)
@@ -404,10 +404,10 @@ def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optim
     close = ~(np.diff(t[r, p], prepend=-INF) >= TIME_MERGE_TOL) | (state == np.append(-1, state[:-1]))
     clean = np.bincount(r[np.where(np.append(True, last[:-1]), state == c0[r], close)], minlength=len(rows)) == 0
     ts, ss, c0 = t[r, p].tolist(), np.array(labels)[state].tolist(), np.array(labels)[c0].tolist()
-    jumps, out, ends = list(zip(ts, ss)), {}, np.searchsorted(r, ar, side="right").tolist()
+    out, ends = {}, np.searchsorted(r, ar, side="right").tolist()
     fields = zip(rows.tolist(), count.tolist(), dist[:, -1].tolist(), [0, *ends], ends, c0, clean.tolist())
     for row, n, x, a, b, s0, fine in itertools.compress(fields, ok):
-        primary = (_unchecked(StateSequence, initial_state=s0, jumps=tuple(jumps[a:b]), _times=tuple(ts[a:b])) if fine
+        primary = (_unchecked(StateSequence, initial_state=s0, _times=tuple(ts[a:b]), _states=tuple(ss[a:b])) if fine
                    else StateSequence._from_columns(s0, ts[a:b], ss[a:b]))
         out[row] = _Settled(block["k"][row], n, x, primary, (primary,) if all_optimal else None)
     fail = dist[:, -1] > block["accept"][rows]  # round 1 failed: take round 2's kept set and test
@@ -839,23 +839,25 @@ class ProjectionResult:
 
 
 def _reassemble(f: StateSequence, spans: list[tuple[int, int]], solved: list[StateSequence]) -> StateSequence:
-    """f with the jumps of each span (first, last) replaced by those of its solution."""
-    pairs: list[tuple[float, int]] = []
+    """f with the jumps of each span (first, last) replaced by those of its solution, as
+    :meth:`StateSequence.from_pairs` of the pairs builds it (Python floats and ints)."""
+    times: list[float] = []
+    states: list[int] = []
     pos = 0
     for (first, last), sol in zip(spans, solved):
-        pairs.extend(f.jumps[pos:first])
-        pairs.extend(sol.jumps)
+        times += f._times[pos:first]
+        times += sol._times
+        states += f._states[pos:first]
+        states += sol._states
         pos = last + 1
-    pairs.extend(f.jumps[pos:])
-    return StateSequence.from_pairs(f.initial_state, pairs)
+    times += f._times[pos:]
+    states += f._states[pos:]
+    return StateSequence._from_columns(f.initial_state, list(map(float, times)), list(map(int, states)))
 
 
 def _distinct(seqs) -> tuple[StateSequence, ...]:
     """The distinct sequences, sorted by jump count, then jump times, then states."""
-    seen: dict[tuple, StateSequence] = {}
-    for seq in seqs:
-        seen.setdefault((seq.initial_state, seq.jumps), seq)
-    return tuple(sorted(seen.values(), key=lambda seq: (seq.n_jumps, seq.jump_times, tuple(s for _, s in seq.jumps))))
+    return tuple(sorted(dict.fromkeys(seqs), key=lambda seq: (seq.n_jumps, seq._times, seq._states)))
 
 
 def project(

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import eq, gt, itemgetter, le, lt, ne, sub
+from operator import eq, gt, le, lt, ne, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -117,38 +117,92 @@ class Event:
 
 
 def _unchecked(cls, **fields):
-    """An instance of ``cls`` holding ``fields`` (``_times`` among them) as
-    they are, without the checks of its constructor: only for jumps that are
-    valid by construction."""
+    """An instance of ``cls`` holding ``fields`` as they are, without the checks of its constructor:
+    only for jumps that are valid by construction.  They come as the two columns, the tuples ``_times``
+    and ``_states``; :attr:`~_Jumps.jumps` pairs them when it is first read."""
     out = object.__new__(cls)
     out.__dict__.update(fields)
     return out
 
 
-@dataclass(frozen=True)
-class StateSequence:
+class _Jumps:
+    """The immutable base of :class:`StateSequence` and :class:`Labels`.
+
+    An instance holds the scalars named in ``_fields`` and its jumps as two
+    columns: the tuples ``_times`` and ``_states``.  ``jumps``, the tuple of
+    (time, state) pairs, is built from them when it is first read and then
+    kept.  Equality, hashing and ``repr`` read the scalars and the columns,
+    and agree with those of the scalars and the pairs.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _times: tuple[float, ...]
+    _states: tuple[int, ...]
+
+    def _store(self, jumps: tuple, **scalars) -> None:
+        """Set the scalars and the columns of the checked ``jumps``."""
+        # Lists, not generators: tuple() then allocates the exact size, so
+        # CPython's tuple free lists do not fill up between full collections.
+        times, states = tuple([t for t, _ in jumps]), tuple([s for _, s in jumps])
+        self.__dict__.update(scalars, _times=times, _states=states)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def jumps(self) -> tuple[tuple[float, int], ...]:
+        """The ordered (time, new state) pairs."""
+        # tuple() of a list allocates the exact size; of a zip it grows the
+        # tuple step by step, which costs far more garbage collection.
+        return tuple(list(zip(self._times, self._states)))
+
+    @property
+    def n_jumps(self) -> int:
+        return len(self._times)
+
+    def _key(self) -> tuple:
+        return (*map(self.__dict__.__getitem__, self._fields), self._times, self._states)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        scalars = "".join(f"{name}={self.__dict__[name]!r}, " for name in self._fields)
+        return f"{type(self).__qualname__}({scalars}jumps={tuple(zip(self._times, self._states))!r})"
+
+
+class StateSequence(_Jumps):
     """A cadlag step function: ``initial_state`` on (-inf, t1), then jumps.
 
-    ``jumps`` is an ordered tuple of (time, new_state).  Invariants: jump
-    times strictly increase and consecutive states differ.  Instances are
+    The jumps are given as (time, new_state) pairs, in any iterable, and are
+    held as the columns ``_times`` and ``_states`` (see :class:`_Jumps`);
+    ``jumps`` is the ordered tuple of the pairs.  Invariants: jump times
+    strictly increase and consecutive states differ.  Instances are
     immutable; all operations on them are pure functions.
     """
 
+    _fields = ("initial_state",)
     initial_state: int
-    jumps: tuple[tuple[float, int], ...] = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, initial_state: int, jumps: Iterable[tuple[float, int]] = ()) -> None:
+        jumps = tuple(jumps)
         prev_t = -INF
-        prev_s = self.initial_state
-        for t, s in self.jumps:
+        prev_s = initial_state
+        for t, s in jumps:
             if not (prev_t < t < INF):
                 raise ValueError(f"jump times must strictly increase, got {t} after {prev_t}")
             if s == prev_s:
                 raise ValueError(f"consecutive states must differ (state {s} at t={t})")
             prev_t, prev_s = t, s
-        # A list, not a generator: tuple() then allocates the exact size, so
-        # CPython's tuple free lists do not fill up between full collections.
-        object.__setattr__(self, "_times", tuple([t for t, _ in self.jumps]))
+        self._store(jumps, initial_state=initial_state)
 
     @classmethod
     def from_pairs(cls, initial_state: int, pairs: Iterable[tuple[float, int]]) -> "StateSequence":
@@ -197,46 +251,38 @@ class StateSequence:
             changed = list(map(ne, states, chain((initial_state,), states)))
             times = list(compress(times, changed))
             states = list(compress(states, changed))
-        # tuple() of a list allocates the exact size; of a zip it grows the
-        # tuple step by step, which costs far more garbage collection.
-        jumps = tuple(list(zip(times, states)))
         # Without close gaps the times are sorted and free of NaN, so the ends bound them.
         if all(map(math.isfinite, times)) if close else not times or -INF < times[0] and times[-1] < INF:
-            return _unchecked(cls, initial_state=initial_state, jumps=jumps, _times=tuple(times))
-        return cls(initial_state, jumps)  # raises for the first NaN or infinite time
+            return _unchecked(cls, initial_state=initial_state, _times=tuple(times), _states=tuple(states))
+        return cls(initial_state, zip(times, states))  # raises for the first NaN or infinite time
 
     def _slice(self, a: int, b: int) -> "StateSequence":
         """Jumps a..b-1 after the state they follow; a slice of a valid sequence skips the checks."""
-        initial = self.jumps[a - 1][1] if a else self.initial_state
-        jumps, times = self.jumps[a:b], self._times[a:b]  # type: ignore[attr-defined]
-        return _unchecked(StateSequence, initial_state=initial, jumps=jumps, _times=times)
+        initial = self._states[a - 1] if a else self.initial_state
+        return _unchecked(StateSequence, initial_state=initial, _times=self._times[a:b], _states=self._states[a:b])
 
     @property
     def jump_times(self) -> tuple[float, ...]:
-        return self._times  # type: ignore[attr-defined]
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.jumps)
+        return self._times
 
     @property
     def final_state(self) -> int:
-        return self.jumps[-1][1] if self.jumps else self.initial_state
+        return self._states[-1] if self._states else self.initial_state
 
     @cached_property
     def states_used(self) -> tuple[int, ...]:
-        return tuple(sorted({self.initial_state} | {s for _, s in self.jumps}))
+        return tuple(sorted({self.initial_state, *self._states}))
 
     def state_at(self, t: float) -> int:
         """Value at time t (right-continuous at jumps)."""
-        i = bisect_right(self.jump_times, t)
-        return self.initial_state if i == 0 else self.jumps[i - 1][1]
+        i = bisect_right(self._times, t)
+        return self._states[i - 1] if i else self.initial_state
 
     def events(self) -> tuple[Event, ...]:
         """The maximal constant intervals, partitioning the real line."""
         out = []
         start, state = -INF, self.initial_state
-        for t, s in self.jumps:
+        for t, s in zip(self._times, self._states):
             out.append(Event(start, t, state))
             start, state = t, s
         out.append(Event(start, INF, state))
@@ -248,9 +294,8 @@ class StateSequence:
             return self
         # Rounding can make two shifted times equal; like from_pairs, the
         # later state wins, but only exactly equal times merge.
-        times = [t + eps for t in self._times]  # type: ignore[attr-defined]
-        states = list(map(itemgetter(1), self.jumps))
-        return StateSequence._from_columns(self.initial_state, times, states, tol=_EQUAL_ONLY)
+        times = [t + eps for t in self._times]
+        return StateSequence._from_columns(self.initial_state, times, list(self._states), tol=_EQUAL_ONLY)
 
 
 @dataclass(frozen=True)
@@ -273,7 +318,7 @@ class Segmentation:
 
 def _columns(seq: StateSequence) -> tuple[np.ndarray, list]:
     """The jump times of ``seq`` as an array and its states, the initial state first."""
-    return np.array(seq.jump_times, dtype=float), [seq.initial_state, *map(itemgetter(1), seq.jumps)]
+    return np.array(seq._times, dtype=float), [seq.initial_state, *seq._states]
 
 
 def _codes(f_states: list, g_states: list) -> tuple[list, np.ndarray, np.ndarray]:
@@ -330,32 +375,36 @@ def _integral(joint: tuple, metric: StateMetric, w: float = 1.0, sigma: float = 
     return 0.0 + np.add.accumulate(terms).item(-1) if terms.size else 0.0
 
 
-@dataclass(frozen=True)
-class Labels:
+class Labels(_Jumps):
     """State labels on a finite recording [0, horizon).
 
     This is the on-disk form: a horizon in seconds, the size of the state
-    alphabet, the state at time 0 and the interior transitions.  Conversion
-    to a full-line :class:`StateSequence` is context dependent: projection
-    anchors the boundary states (``to_anchored``), the timing-tolerant
-    measures use the fixed-fill extension from the measures module.
+    alphabet, the state at time 0 and the interior transitions, given as
+    (time, state) pairs and held as the columns ``_times`` and ``_states``
+    (see :class:`_Jumps`).  Conversion to a full-line
+    :class:`StateSequence` is context dependent: projection anchors the
+    boundary states (``to_anchored``), the timing-tolerant measures use the
+    fixed-fill extension from the measures module.
     """
 
+    _fields = ("horizon", "n_states", "start_state")
     horizon: float
     n_states: int
     start_state: int
-    jumps: tuple[tuple[float, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        _check_scalars(self.horizon, self.n_states)
-        prev_t, prev_s = 0.0, self.start_state
-        for t, s in self.jumps:
-            if not (prev_t < t < self.horizon):
+    def __init__(
+        self, horizon: float, n_states: int, start_state: int, jumps: Iterable[tuple[float, int]] = ()
+    ) -> None:
+        _check_scalars(horizon, n_states)
+        jumps = tuple(jumps)
+        prev_t, prev_s = 0.0, start_state
+        for t, s in jumps:
+            if not (prev_t < t < horizon):
                 raise ValueError(f"jump time {t} outside (0, horizon)")
             if s == prev_s:
                 raise ValueError("consecutive states must differ")
             prev_t, prev_s = t, s
-        object.__setattr__(self, "_times", tuple([t for t, _ in self.jumps]))
+        self._store(jumps, horizon=horizon, n_states=n_states, start_state=start_state)
 
     @classmethod
     def from_pairs(
@@ -378,11 +427,11 @@ class Labels:
         """Labels with the start and jumps of ``seq``, whose jumps lie in (0, horizon); checks only the scalars."""
         _check_scalars(horizon, n_states)
         scalars = {"horizon": horizon, "n_states": n_states, "start_state": seq.initial_state}
-        return _unchecked(cls, **scalars, jumps=seq.jumps, _times=seq.jump_times)
+        return _unchecked(cls, **scalars, _times=seq._times, _states=seq._states)
 
     def state_at(self, t: float) -> int:
-        i = bisect_right(self._times, t)  # type: ignore[attr-defined]
-        return self.start_state if i == 0 else self.jumps[i - 1][1]
+        i = bisect_right(self._times, t)
+        return self._states[i - 1] if i else self.start_state
 
     def to_anchored(self) -> StateSequence:
         """Full-line view with immovable boundary states.
@@ -390,8 +439,7 @@ class Labels:
         The first and last events are extended to -inf/+inf, so projection
         treats the recording edges as frozen anchors.
         """
-        times = self._times  # type: ignore[attr-defined]
-        return _unchecked(StateSequence, initial_state=self.start_state, jumps=self.jumps, _times=times)
+        return _unchecked(StateSequence, initial_state=self.start_state, _times=self._times, _states=self._states)
 
     @classmethod
     def from_anchored(cls, seq: StateSequence, horizon: float, n_states: int) -> "Labels":

@@ -83,8 +83,8 @@ def generate_noisy_labels(base: Labels, model: NoiseModel) -> Labels:
     spare = None  # the unused high half of the last word read by a 32-bit draw
     mu_correct, mu_incorrect = model.mu_correct, model.mu_incorrect
     horizon, n = base.horizon, base.n_states
-    base_times = [*map(float, base._times), INF]  # type: ignore[attr-defined]  # INF: past every spell
-    base_states = [int(base.start_state), *(int(s) for _, s in base.jumps)]  # the state after i jumps
+    base_times = [*map(float, base._times), INF]  # INF: past every spell
+    base_states = [int(base.start_state), *map(int, base._states)]  # the state after i jumps
     times: list[float] = []
     states: list[int] = []
     i, t, correct = 0, 0.0, True
