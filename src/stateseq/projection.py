@@ -351,20 +351,19 @@ def _bulk(block: dict, owns: list, labels, gamma: float, binary: bool, all_optim
     all) that keep at most ``BULK_VERTICES`` vertices: the DP over their kept vertices, column by column, all
     rows at once.
 
-    Its arcs are :meth:`_Core.column`'s: k -> j is admitted when t_k <= t_j - min_gap and costed as in
-    :meth:`_Core._weight_single`.  Each vertex chooses as :func:`_choose` does: the candidates within
-    ``_tie_tol`` of the least cost tie, fewer jumps win, then the earlier path, which holds the lowest vertex
-    of the two paths' symmetric difference (:func:`_first_path`): its mask, earlier vertices in higher bits,
-    is larger.  A row whose cost fails the round-1 test of :meth:`_Core.solve_primary` has its kept set and
-    test replaced by the second round's, as the solver replaces them, and takes one more pass if it still
-    keeps at most ``BULK_VERTICES`` vertices: a call whose ``todo`` holds the rows whose test is now +inf,
-    as no round-1 test is (the Potts optimum is finite).  Left to the solver are all rows when min_gap <= 0
-    (it then admits no kept vertex), the rows that keep more, rows whose cost is not finite, and under
-    ``all_optimal`` tied rows.
+    Its arcs are :meth:`_Core.column`'s: k -> j is admitted when k comes before j and t_k <= t_j - min_gap,
+    and costed as in :meth:`_Core._weight_single`.  Each vertex chooses as :func:`_choose` does: the candidates
+    within ``_tie_tol`` of the least cost tie, fewer jumps win, then the earlier path, which holds the lowest
+    vertex of the two paths' symmetric difference (:func:`_first_path`): its mask, earlier vertices in higher
+    bits, is larger.  A row whose cost fails the round-1 test of :meth:`_Core.solve_primary` has its kept set
+    and test replaced by the second round's, as the solver replaces them, and takes one more pass if it still
+    keeps at most ``BULK_VERTICES`` vertices: a call whose ``todo`` holds the rows whose test is now +inf, as
+    no round-1 test is (the Potts optimum is finite).  Left to the solver are the rows that keep more,
+    rows whose cost is not finite, and under ``all_optimal`` tied rows.
     """
     min_gap = (2.0 * gamma if binary else gamma) - GAP_TOL
     count = block["kept"].sum(axis=1)
-    rows = np.flatnonzero(todo & (count <= BULK_VERTICES)) if min_gap > 0 else np.arange(0)
+    rows = np.flatnonzero(todo & (count <= BULK_VERTICES))
     rows = rows[np.argsort(-count[rows], kind="stable")]  # so the rows that keep vertex j come first
     count, at, ar, w = count[rows], rows[:, None], np.arange(len(rows)), int(count[rows].max(initial=0))
     valid, reach = np.arange(w) < count[:, None], np.searchsorted(-count, -np.arange(w + 2), side="right").tolist()
@@ -491,14 +490,15 @@ class _Core:
         """Parent and distance tables by running minima, and the tie record.
 
         Arc k -> j labelled c weighs (dist[k] - t_k) + admit[c][k], fixed once k
-        is admitted (t_k <= t_j - min_gap), plus (gamma + t_j) - enter[c][j].  Per
-        label, a bucket holds each admitted vertex whose first part lies within
-        the slack M of the label's running minimum; non-finite values never
-        enter, and entries go once the minimum falls by more than M.  Column
-        j's candidates are the source arc and the bucket entries within M of
-        lo, the least of them; each is costed bitwise as in the reference
-        column, via :meth:`_weight_single`, and :func:`_choose` settles j
-        from them as the reference DP does.  The sink is settled the same way
+        is admitted (k comes before j and t_k <= t_j - min_gap), plus
+        (gamma + t_j) - enter[c][j].  Per label, a bucket holds each admitted
+        vertex whose first part lies within the slack M of the label's running
+        minimum; non-finite values never enter, and whenever the minimum falls
+        the entries more than M above it go, as no later column can take them.
+        Column j's candidates are the source arc and the bucket entries within
+        M of lo, the least of them; each is costed bitwise as in the reference
+        column, via :meth:`_weight_single`, and :func:`_choose` settles j from
+        them as the reference DP does.  The sink is settled the same way
         from the source and the kept vertices, whose weights come from
         ``column(k + 1)``.
 
@@ -551,16 +551,16 @@ class _Core:
         dist, parent, njumps = _dp_tables(kk + 2)
         enter, admit = self.enter_rows, self.admit_rows
         labels = range(len(enter))
-        best, floor = [INF] * len(enter), [INF] * len(enter)  # floor: best at the last pruning
+        best = [INF] * len(enter)
         buckets: list[list[tuple[float, int]]] = [[] for _ in labels]
         ties: dict[int, list[int]] = {}
         times = [self.time_list[j - 1] for j in kept]
         w_source = self.w_source.tolist()
         p = 0  # position in kept of the next vertex to admit
 
-        for j, tj in zip(kept, times):
+        for q, (j, tj) in enumerate(zip(kept, times)):
             src, lim = w_source[j - 1], tj - min_gap
-            while p < len(kept) and times[p] <= lim:
+            while p < q and times[p] <= lim:
                 k = kept[p]
                 d = dist[k] - times[p]
                 for c, row in enumerate(admit):
@@ -568,9 +568,7 @@ class _Core:
                     if v < INF and v <= best[c] + slack:
                         if v < best[c]:
                             best[c] = v
-                            if v < floor[c] - slack:
-                                floor[c] = v
-                                buckets[c] = [e for e in buckets[c] if e[0] <= v + slack]
+                            buckets[c] = [e for e in buckets[c] if e[0] <= v + slack]
                         buckets[c].append((v, k))
                 p += 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import eq, gt, le, lt, ne, sub
@@ -118,39 +118,40 @@ class Event:
 
 def _unchecked(cls, **fields):
     """An instance of ``cls`` holding ``fields`` as they are, without the checks of its constructor:
-    only for jumps that are valid by construction.  They come as the two columns, the tuples ``_times``
-    and ``_states``; :attr:`~_Jumps.jumps` pairs them when it is first read."""
+    only for jumps that are valid by construction.  The fields are the scalars and the two columns,
+    the tuples ``_times`` and ``_states``; :attr:`~_Jumps.jumps` pairs them when it is first read."""
     out = object.__new__(cls)
     out.__dict__.update(fields)
     return out
 
 
 class _Jumps:
-    """The immutable base of :class:`StateSequence` and :class:`Labels`.
+    """The base of :class:`StateSequence` and :class:`Labels`, frozen dataclasses over their scalars
+    and then their jumps as two columns, the tuples ``_times`` and ``_states``.
 
-    An instance holds the scalars named in ``_fields`` and its jumps as two
-    columns: the tuples ``_times`` and ``_states``.  ``jumps``, the tuple of
-    (time, state) pairs, is built from them when it is first read and then
-    kept.  Equality, hashing and ``repr`` read the scalars and the columns,
-    and agree with those of the scalars and the pairs.
+    Equality, hashing and immutability are the dataclass ones over those
+    fields.  ``jumps``, the tuple of (time, state) pairs, is built from the
+    columns when it is first read and then kept; ``repr`` shows the scalars
+    and the pairs.
     """
 
-    _fields: tuple[str, ...] = ()
-    _times: tuple[float, ...]
-    _states: tuple[int, ...]
-
-    def _store(self, jumps: tuple, **scalars) -> None:
-        """Set the scalars and the columns of the checked ``jumps``."""
+    def _store(self, jumps: Iterable[tuple[float, int]], state: int, lo: float, hi: float, **scalars) -> None:
+        """Set the scalars and the columns of ``jumps`` after ``state``, whose times must increase
+        strictly within (lo, hi) and whose every state must differ from the one before it."""
+        jumps = tuple(jumps)
+        prev = lo
+        for t, s in jumps:
+            if not prev < t < hi:
+                if lo < t < hi:
+                    raise ValueError(f"jump times must strictly increase, got {t} after {prev}")
+                raise ValueError(f"jump time {t} outside ({lo}, {hi})")
+            if s == state:
+                raise ValueError(f"consecutive states must differ (state {s} at t={t})")
+            prev, state = t, s
         # Lists, not generators: tuple() then allocates the exact size, so
         # CPython's tuple free lists do not fill up between full collections.
         times, states = tuple([t for t, _ in jumps]), tuple([s for _, s in jumps])
         self.__dict__.update(scalars, _times=times, _states=states)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def jumps(self) -> tuple[tuple[float, int], ...]:
@@ -163,46 +164,28 @@ class _Jumps:
     def n_jumps(self) -> int:
         return len(self._times)
 
-    def _key(self) -> tuple:
-        return (*map(self.__dict__.__getitem__, self._fields), self._times, self._states)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
-        scalars = "".join(f"{name}={self.__dict__[name]!r}, " for name in self._fields)
+        scalars = "".join(f"{f.name}={self.__dict__[f.name]!r}, " for f in fields(self)[:-2])
         return f"{type(self).__qualname__}({scalars}jumps={tuple(zip(self._times, self._states))!r})"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class StateSequence(_Jumps):
     """A cadlag step function: ``initial_state`` on (-inf, t1), then jumps.
 
     The jumps are given as (time, new_state) pairs, in any iterable, and are
     held as the columns ``_times`` and ``_states`` (see :class:`_Jumps`);
-    ``jumps`` is the ordered tuple of the pairs.  Invariants: jump times
-    strictly increase and consecutive states differ.  Instances are
-    immutable; all operations on them are pure functions.
+    ``jumps`` is the ordered tuple of the pairs.  Invariants: jump times are
+    finite and strictly increase, and consecutive states differ.  Instances
+    are immutable; all operations on them are pure functions.
     """
 
-    _fields = ("initial_state",)
     initial_state: int
+    _times: tuple[float, ...]
+    _states: tuple[int, ...]
 
     def __init__(self, initial_state: int, jumps: Iterable[tuple[float, int]] = ()) -> None:
-        jumps = tuple(jumps)
-        prev_t = -INF
-        prev_s = initial_state
-        for t, s in jumps:
-            if not (prev_t < t < INF):
-                raise ValueError(f"jump times must strictly increase, got {t} after {prev_t}")
-            if s == prev_s:
-                raise ValueError(f"consecutive states must differ (state {s} at t={t})")
-            prev_t, prev_s = t, s
-        self._store(jumps, initial_state=initial_state)
+        self._store(jumps, initial_state, -INF, INF, initial_state=initial_state)
 
     @classmethod
     def from_pairs(cls, initial_state: int, pairs: Iterable[tuple[float, int]]) -> "StateSequence":
@@ -375,36 +358,31 @@ def _integral(joint: tuple, metric: StateMetric, w: float = 1.0, sigma: float = 
     return 0.0 + np.add.accumulate(terms).item(-1) if terms.size else 0.0
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Labels(_Jumps):
     """State labels on a finite recording [0, horizon).
 
     This is the on-disk form: a horizon in seconds, the size of the state
     alphabet, the state at time 0 and the interior transitions, given as
-    (time, state) pairs and held as the columns ``_times`` and ``_states``
-    (see :class:`_Jumps`).  Conversion to a full-line
+    (time, state) pairs in (0, horizon) and held as the columns ``_times``
+    and ``_states`` (see :class:`_Jumps`); their invariants are those of
+    :class:`StateSequence`.  Conversion to a full-line
     :class:`StateSequence` is context dependent: projection anchors the
     boundary states (``to_anchored``), the timing-tolerant measures use the
     fixed-fill extension from the measures module.
     """
 
-    _fields = ("horizon", "n_states", "start_state")
     horizon: float
     n_states: int
     start_state: int
+    _times: tuple[float, ...]
+    _states: tuple[int, ...]
 
     def __init__(
         self, horizon: float, n_states: int, start_state: int, jumps: Iterable[tuple[float, int]] = ()
     ) -> None:
         _check_scalars(horizon, n_states)
-        jumps = tuple(jumps)
-        prev_t, prev_s = 0.0, start_state
-        for t, s in jumps:
-            if not (prev_t < t < horizon):
-                raise ValueError(f"jump time {t} outside (0, horizon)")
-            if s == prev_s:
-                raise ValueError("consecutive states must differ")
-            prev_t, prev_s = t, s
-        self._store(jumps, horizon=horizon, n_states=n_states, start_state=start_state)
+        self._store(jumps, start_state, 0.0, horizon, horizon=horizon, n_states=n_states, start_state=start_state)
 
     @classmethod
     def from_pairs(

@@ -1149,15 +1149,25 @@ class TestSettledRows:
         assert (BULK_VERTICES, True) in kept and (BULK_VERTICES + 1, False) in kept
         assert all(bulk == (n <= BULK_VERTICES) for n, bulk in kept)
 
-    def test_rows_without_a_positive_gap_go_to_the_solver(self):
-        # At gamma <= GAP_TOL the solver admits no kept vertex as a predecessor
-        # of another, and the bulk route must not answer in its place.
+    def test_rows_without_a_positive_gap_settle_as_the_per_column_dp(self):
+        # At gamma <= GAP_TOL every earlier kept vertex is a predecessor of a
+        # later one, never a vertex of its own: the bulk route answers these
+        # rows as the solver does, and the sweep with nothing pruned returns
+        # the per-column DP's tables.
         rng = np.random.default_rng(86)
         gaps = rng.uniform(5e-14, 6e-13, size=(6, 8))
         fs = [StateSequence(1, tuple(zip(np.cumsum(g).tolist(), [2, 3, 1, 3, 2, 1, 2, 3]))) for g in gaps]
+        spans = [[(sub.first_jump, sub.last_jump) for sub in split_long_events(f, 8e-13)] for f in fs]
         rows = self._rows(fs, 8e-13)
-        assert any(0 < len(row.kept) <= BULK_VERTICES for row in rows)
-        assert all(isinstance(row, projection._Core) for row in rows)
+        cores = [core for _, core in _cores(fs, spans, 8e-13, DISCRETE, False)]
+        assert len(rows) == len(cores) and any(0 < len(core.kept) <= BULK_VERTICES for core in cores)
+        for row, core in zip(rows, cores):
+            assert isinstance(row, _Settled) == (len(core.kept) <= BULK_VERTICES)
+            want = core.settle(projection._Core.solve_primary, False)
+            assert (row.cost.hex(), row._replace(cost=0.0)) == (want.cost.hex(), want._replace(cost=0.0))
+            core.kept, core.accept = list(range(1, core.k + 1)), INF
+            tables = TestSolverTables._tables
+            assert tables(*core.solve_primary()) == tables(*_dp(core.n_vertices, core.column))
 
     def test_tied_rows_go_to_the_solver_for_all_optima(self):
         # A row settled in bulk comes as a core once all optima are asked for

@@ -231,6 +231,45 @@ class TestLabels:
         assert DISCRETE.d(1, 2) == 1.0
 
 
+class TestJumpCheck:
+    # Both constructors check their jumps by one rule: the times increase
+    # strictly inside (lo, hi), (-inf, inf) for a sequence and (0, horizon)
+    # for labels, and each state differs from the one before it.
+    BUILD = {
+        "sequence": (lambda jumps: StateSequence(1, jumps), -INF, INF),
+        "labels": (lambda jumps: Labels(10.0, 3, 1, jumps), 0.0, 10.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_rejects_times_at_the_ends_or_not_finite(self, kind):
+        build, lo, hi = self.BUILD[kind]
+        for t in (lo, hi, math.nan, -INF, INF):
+            for jumps in (((t, 2),), ((5.0, 2), (t, 3))):
+                with pytest.raises(ValueError, match=f"jump time {t} outside"):
+                    build(jumps)
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_rejects_equal_or_unsorted_times_by_their_order(self, kind):
+        build, _, _ = self.BUILD[kind]
+        for t in (5.0, 3.0):
+            with pytest.raises(ValueError, match=f"strictly increase, got {t} after 5.0"):
+                build(((1.0, 3), (5.0, 2), (t, 3)))
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_rejects_a_repeated_state(self, kind):
+        build, _, _ = self.BUILD[kind]
+        for jumps in (((5.0, 1),), ((3.0, 2), (5.0, 2))):
+            with pytest.raises(ValueError, match="consecutive states must differ"):
+                build(jumps)
+
+    @pytest.mark.parametrize("kind", sorted(BUILD))
+    def test_accepts_times_just_inside_the_ends(self, kind):
+        build, lo, hi = self.BUILD[kind]
+        times = (math.nextafter(lo, hi), 5.0, math.nextafter(hi, lo))
+        out = build(tuple(zip(times, (2, 3, 1))))
+        assert out._times == times and out._states == (2, 3, 1) and out.jumps == tuple(zip(times, (2, 3, 1)))
+
+
 # -- the bulk normalisation and segmentation against per-item references -----
 
 LTS = LtsParams(0.6, 0.35)
