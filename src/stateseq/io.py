@@ -21,12 +21,12 @@ sampled form (one state id per row at a fixed rate; sample i covers
     1
 
 Times are written with 9 decimal places, matching the construction-time
-merge tolerance, so write/read round-trips are exact.
+merge tolerance, so write/read round-trips are exact.  A file that is not
+UTF-8 text or breaks a rule of its form raises :class:`LabelFileError`.
 """
 
 from __future__ import annotations
 
-import io as _io
 import math
 from bisect import bisect_right
 from itertools import compress, repeat
@@ -88,48 +88,29 @@ def _meta_value(meta: dict[str, str], key: str, conv, positive: bool = True):
 
 
 def _parse_jumps(meta: dict[str, str], body: list[str]) -> Labels:
-    """The jump-list form, each rule checked on all rows at once.
-
-    The error names the first row that breaks a rule, and the first rule it
-    breaks, in this order: one comma, a ``float`` time and an ``int`` state,
-    time in [0, horizon), times sorted, state in 1..states.  The
-    ``# initial:`` state is checked after the rows.
-    """
+    """The jump-list form, every rule checked on all rows at once; only when one fails does
+    :func:`_first_bad_row` walk the rows to name the first bad one.  ``# initial:`` comes after."""
     horizon = _meta_value(meta, "horizon", float)
     n_states = _meta_value(meta, "states", int)
     initial = _meta_value(meta, "initial", int, positive=False)
     rows = body
     if rows and rows[0].replace(" ", "") == "time,state":
         rows = rows[1:]
-    # Split the rows up to the first one without exactly one comma.  Every row
-    # has one when each has at least one and there are as many as rows.
-    n_split = len(rows)
-    fields = ",".join(rows).split(",") if rows else []
-    if len(fields) != 2 * n_split or not all(map(contains, rows, repeat(","))):
-        n_split = next(k for k, row in enumerate(rows) if row.count(",") != 1)
-        fields = ",".join(rows[:n_split]).split(",") if n_split else []
-    # Convert them up to the first field float or int rejects.
-    times = _convert_prefix(float, fields[0::2])
-    states = _convert_prefix(int, fields[1::2], cached=True)
-    n_read = min(len(times), len(states))
-    del times[n_read:], states[n_read:]
-    t = np.array(times, dtype=float)
-    out_of_range = ~((t >= 0.0) & (t < horizon))
-    unsorted = np.concatenate(([False], t[1:] < t[:-1]))
-    bad = np.flatnonzero(out_of_range | unsorted)
-    first = int(bad[0]) if bad.size else n_read
-    if states and not (1 <= min(states) and max(states) <= n_states):
-        first = min(first, next(k for k, s in enumerate(states) if not 1 <= s <= n_states))
-    if first < n_read:
-        if out_of_range[first]:
-            raise LabelFileError(f"jump time {times[first]} outside [0, horizon)")
-        if unsorted[first]:
-            raise LabelFileError("jump rows must be time-sorted")
-        raise LabelFileError(f"state id {states[first]} outside 1..{n_states}")
-    if n_read < n_split:
-        raise LabelFileError(f"bad row {rows[n_read]!r}")
-    if n_split < len(rows):
-        raise LabelFileError(f"expected 'time,state', got {rows[n_split]!r}")
+    try:
+        # Every row has one comma when each has one or more and there are twice as many fields.
+        fields = ",".join(rows).split(",") if rows else []
+        if len(fields) != 2 * len(rows) or not all(map(contains, rows, repeat(","))):
+            raise ValueError("a row without one comma")
+        times = list(map(float, fields[0::2]))
+        ids = {text: int(text) for text in set(fields[1::2])}  # few ids, each converted once
+        states = list(map(ids.__getitem__, fields[1::2]))
+        t = np.array(times, dtype=float)
+        if not (((t >= 0.0) & (t < horizon)).all() and (t[1:] >= t[:-1]).all()):
+            raise ValueError("a time out of range or order")
+        if states and not (1 <= min(states) and max(states) <= n_states):
+            raise ValueError("a state id out of range")
+    except ValueError:
+        _first_bad_row(rows, horizon, n_states)
     if not 1 <= initial <= n_states:
         raise LabelFileError(f"initial state {initial} outside 1..{n_states}")
     # Rows at time 0, a prefix of the sorted rows, override '# initial:'.
@@ -143,25 +124,26 @@ def _parse_jumps(meta: dict[str, str], body: list[str]) -> Labels:
         raise LabelFileError(str(exc)) from exc
 
 
-def _convert_prefix(conv, texts: list[str], cached: bool = False) -> list:
-    """``conv`` of each text, up to the first one it rejects.
-
-    ``cached`` converts each distinct text once, which pays when few texts
-    repeat often, as state ids do.
-    """
-    if cached:
+def _first_bad_row(rows: list[str], horizon: float, n_states: int) -> None:
+    """Raise for the first row that breaks a rule, and the first rule it breaks,
+    in this order: one comma, a ``float`` time and an ``int`` state, time in
+    [0, horizon), times sorted, state in 1..states."""
+    prev = -math.inf
+    for row in rows:
+        if row.count(",") != 1:
+            raise LabelFileError(f"expected 'time,state', got {row!r}")
+        time_text, state_text = row.split(",")
         try:
-            values = {text: conv(text) for text in set(texts)}
+            t, s = float(time_text), int(state_text)
         except ValueError:
-            pass
-        else:
-            return list(map(values.__getitem__, texts))
-    out: list = []
-    try:
-        out.extend(map(conv, texts))  # keeps what was converted before an error
-    except ValueError:
-        pass
-    return out
+            raise LabelFileError(f"bad row {row!r}") from None
+        if not 0.0 <= t < horizon:
+            raise LabelFileError(f"jump time {t} outside [0, horizon)")
+        if t < prev:
+            raise LabelFileError("jump rows must be time-sorted")
+        if not 1 <= s <= n_states:
+            raise LabelFileError(f"state id {s} outside 1..{n_states}")
+        prev = t
 
 
 def _parse_sampled(meta: dict[str, str], body: list[str]) -> Labels:
@@ -199,20 +181,16 @@ def read_labels(path: str) -> Labels:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_labels(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError is a ValueError
         raise LabelFileError(f"cannot read {path}: {exc}") from exc
 
 
 def format_labels(labels: Labels) -> str:
-    out = _io.StringIO()
-    out.write("# format: jumps\n")
-    out.write(f"# horizon: {labels.horizon:.9f}\n")
-    out.write(f"# states: {labels.n_states}\n")
-    out.write(f"# initial: {labels.start_state}\n")
-    out.write("time,state\n")
-    for t, s in zip(labels._times, labels._states):
-        out.write(f"{t:.9f},{s}\n")
-    return out.getvalue()
+    head = (
+        f"# format: jumps\n# horizon: {labels.horizon:.9f}\n# states: {labels.n_states}\n"
+        f"# initial: {labels.start_state}\ntime,state\n"
+    )
+    return head + "".join([f"{t:.9f},{s}\n" for t, s in zip(labels._times, labels._states)])
 
 
 def write_labels(path: str, labels: Labels) -> None:

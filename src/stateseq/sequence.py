@@ -13,8 +13,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import eq, gt, le, lt, ne, sub
+from itertools import chain, compress
+from operator import eq, ne, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -390,15 +390,10 @@ class Labels(_Jumps):
     ) -> "Labels":
         """Normalizing constructor; a pair at time 0 overrides start_state."""
         pairs = list(pairs)
-        times = [t for t, _ in pairs]
-        early = list(map(le, times, repeat(0.0)))
-        inside = list(map(lt, times, repeat(horizon)))
-        start = start_state
-        if True in early:
-            start = int(pairs[len(early) - 1 - early[::-1].index(True)][1])
-        if True in early or False in inside:
-            pairs = list(compress(pairs, map(gt, inside, early)))  # inside and not early
-        return cls._within(horizon, n_states, StateSequence.from_pairs(start, pairs))
+        early = [s for t, s in pairs if t <= 0.0]
+        inside = [(t, s) for t, s in pairs if 0.0 < t < horizon]  # drops NaN times
+        start = int(early[-1]) if early else start_state
+        return cls._within(horizon, n_states, StateSequence.from_pairs(start, inside))
 
     @classmethod
     def _within(cls, horizon: float, n_states: int, seq: StateSequence) -> "Labels":

@@ -75,10 +75,17 @@ def test_criterion_1_worked_example():
         assert res.projected == StateSequence(0, ((0.4, 2),))
         assert abs(res.cost - 0.55) <= EXACT
 
+        # The best of up to 300 timings, stopping at the first under 1 ms and
+        # spread over about 10 s: on a shared machine, spells of 0.2-3 s run
+        # the same code 1.5-2 times slower.  Tries spread in time outlast such
+        # a spell; a looser bound would also pass slower code.
         project(WORKED, 0.2)  # warm-up
-        best = min(
-            _timed(lambda: project(WORKED, 0.2)) for _ in range(30)
-        )
+        best = math.inf
+        for _ in range(300):
+            best = min(best, _timed(lambda: project(WORKED, 0.2)))
+            if best < 1e-3:
+                break
+            time.sleep(0.03)
         assert best < 1e-3, f"projection took {best * 1e3:.3f} ms"
 
 

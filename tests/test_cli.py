@@ -174,6 +174,14 @@ JUMP_FILES = {
     "long-time-nan-late": _jump_file(LONG_ROWS + "nan,1\n"),
     "long-with-chain-and-repeats": _jump_file(LONG_ROWS + "9.1,1\n9.1000000004,2\n9.1000000008,3\n9.2,3\n9.3,3\n"),
     "long-three-fields-late": _jump_file(LONG_ROWS + "9.5,1,2\n"),
+    # One bad row at the end of a long file, where the bulk check sees the
+    # fault and the row walk names it.  A negative time there is also
+    # unsorted, so the range must be checked before the order.
+    "long-time-past-horizon-late": _jump_file(LONG_ROWS + "11.0,1\n"),
+    "long-time-negative-late": _jump_file(LONG_ROWS + "-1.0,2\n"),
+    "long-state-zero-late": _jump_file(LONG_ROWS + "9.5,0\n"),
+    "long-no-comma-late": _jump_file(LONG_ROWS + "9.5\n"),
+    "long-time-unparsable-late": _jump_file(LONG_ROWS + "x,1\n"),
 }
 
 
@@ -466,6 +474,21 @@ def test_invalid_or_non_finite_parameters_exit_with_error(argv, code, worked_pat
     assert main([arg.format(**paths) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["project", "score", "simulate"])
+def test_non_utf8_label_file_exits_2(command, worked_path, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(WORKED_FILE.encode() + b"0.9\xff,2\n")
+    out = tmp_path / "o.csv"
+    argv = {
+        "project": ["project", str(bad), "--gamma", "0.5", "--out", str(out)],
+        "score": ["score", str(worked_path), str(bad), "--measure", "accuracy"],
+        "simulate": ["simulate", "--base", str(bad), "--reps", "1", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -1207,6 +1208,37 @@ class TestSettledRows:
             got = _project_with(solve, [f], 0.1, DISCRETE, False, False)[0]
             assert got.cost.hex() == want.cost.hex() and got.projected == want.projected
         assert ends == {False, True}
+
+
+def _reversed(f):
+    """The sequence t -> f(-t): the jumps mirrored in time, each to the state before it."""
+    before = (f.initial_state, *f._states[:-1])
+    return StateSequence(f.final_state, zip([-t for t in reversed(f._times)], reversed(before)))
+
+
+class TestMetamorphicRelations:
+    # Relations every optimum satisfies, checked on the seed-1 hour recording,
+    # far beyond the brute-force oracle's reach.
+    @pytest.fixture(scope="class")
+    def hour(self):
+        return _noisy_recording(3, seed=1, horizon=3600.0)
+
+    @pytest.mark.parametrize("metric", [DISCRETE, TABLE_METRICS["line"][0]], ids=["discrete", "line"])
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 2.0])
+    def test_hour_recording(self, hour, gamma, metric):
+        res = project(hour, gamma, metric)
+        # Time reversal maps projections onto projections at the same energy.
+        assert project(_reversed(hour), gamma, metric).cost == pytest.approx(res.cost, rel=1e-9)
+        # The cost leaves out the jumps kept between spans, where the
+        # projection is f itself: gamma each, and no distance.
+        starts, ends = zip(*res.subproblem_spans)
+
+        def in_span(t):
+            i = bisect_right(starts, t) - 1
+            return i >= 0 and t <= ends[i]
+
+        outside = sum(not in_span(t) for t in res.projected.jump_times)
+        assert energy(hour, res.projected, gamma, metric) == pytest.approx(res.cost + gamma * outside, rel=1e-9)
 
 
 class TestPinnedAnswers:
